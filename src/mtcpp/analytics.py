@@ -23,10 +23,10 @@ from .errors import (
 )
 from .model import (
     ModelSpec,
+    complement_orbit,
     mean_matrix,
     pgf_partial,
     survival_vector,
-    type_survival_vector,
 )
 
 # Conditioning events below this mass are treated as impossible rather than
@@ -200,6 +200,8 @@ def conditioned_popsize_law(spec: ModelSpec, n: int, root: int, cap: int) -> Pop
 
     Exact propagation truncated to the [0, cap)^k box; the discarded mass is
     tracked and must stay below 1e-10 or the cap is declared too small.
+    A1_tail and B1_tail do not use it: it is kept as an independent route
+    that the tests check them against.
     """
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
@@ -228,25 +230,6 @@ def conditioned_popsize_law(spec: ModelSpec, n: int, root: int, cap: int) -> Pop
     return PopsizeLaw(k=spec.k, n=n, root=root, cap=cap, probs=probs, deficit=deficit)
 
 
-def _auto_cap(spec: ModelSpec, n: int) -> int:
-    # exact support fits when max_support**n is small; otherwise grow until
-    # the truncation budget is met
-    exact = spec.max_support ** n + 1
-    return min(max(exact, 8), 64)
-
-
-def _popsize_with_budget(spec: ModelSpec, n: int, root: int) -> PopsizeLaw:
-    cap = _auto_cap(spec, n)
-    ceiling = {1: 4096, 2: 256}.get(spec.k, 64)
-    while True:
-        try:
-            return conditioned_popsize_law(spec, n, root, min(cap, ceiling))
-        except GuardError:
-            if cap >= ceiling:
-                raise
-            cap *= 2
-
-
 # -- first-pair laws ---------------------------------------------------------
 
 
@@ -260,7 +243,7 @@ def joint_A1_law(spec: ModelSpec, a) -> float:
     """
     a = _check_typestring(spec.k, a)
     n = len(a) - 1
-    p = [survival_vector(spec, j) for j in range(n + 1)]
+    p = complement_orbit(spec, n, np.zeros(spec.k))
     norm = float(p[n][a[n] - 1])
     if norm < CONDITIONING_FLOOR:
         raise ImpossibleConditioningError(
@@ -276,29 +259,41 @@ def joint_A1_law(spec: ModelSpec, a) -> float:
     return value / norm
 
 
-def A1_tail(spec: ModelSpec, top_type: int, n: int, cap: int | None = None) -> float:
+def _single_descendant_probs(
+    spec: ModelSpec, n: int, s, weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D f^(n)(s) @ weights, 1 - f^(n)(s)) by one walk along the orbit of s.
+
+    The chain rule makes the Jacobian of f^(n) at s the product
+    Df(f^(n-1)(s)) ... Df(f^(0)(s)) of k x k matrices [d f_i / d s_j],
+    applied here right to left to the weight vector.  At s = 0, entry (i, j)
+    of the product is P(Z_n = e_j | Z_0 = e_i); at s = 1 - e_ell, entry
+    (i, ell) is the probability of exactly one type-ell descendant.
+    """
+    q = complement_orbit(spec, n, s)
+    w = weights
+    types = range(1, spec.k + 1)
+    for j in range(n):
+        point = 1.0 - q[j]
+        jac = np.array([[pgf_partial(spec, i, t, point) for t in types] for i in types])
+        w = jac @ w
+    return w, q[n]
+
+
+def A1_tail(spec: ModelSpec, top_type: int, n: int) -> float:
     """P(exactly one standing descendant | any, root type top_type, n generations)."""
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
+    if top_type < 1 or top_type > spec.k:
+        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
     if n == 0:
-        if top_type < 1 or top_type > spec.k:
-            raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
         return 1.0
-    law = (
-        conditioned_popsize_law(spec, n, top_type, cap)
-        if cap is not None
-        else _popsize_with_budget(spec, n, top_type)
-    )
-    alive = 1.0 - law.prob((0,) * spec.k)
-    if alive < CONDITIONING_FLOOR:
+    singles, alive = _single_descendant_probs(spec, n, np.zeros(spec.k), np.ones(spec.k))
+    if alive[top_type - 1] < CONDITIONING_FLOOR:
         raise ImpossibleConditioningError(
             f"type {top_type} cannot survive {n} generations"
         )
-    singles = sum(
-        law.prob(tuple(1 if i == j else 0 for i in range(spec.k)))
-        for j in range(spec.k)
-    )
-    return float(singles / alive)
+    return float(singles[top_type - 1] / alive[top_type - 1])
 
 
 def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
@@ -314,7 +309,7 @@ def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
     if a[0] != ell:
         raise SchemaError(f"lineage must stand on a type-{ell} individual, got a[0]={a[0]}")
     n = len(a) - 1
-    p = [type_survival_vector(spec, j, ell) for j in range(n + 1)]
+    p = complement_orbit(spec, n, 1.0 - np.eye(spec.k)[ell - 1])
     norm = float(p[n][a[n] - 1])
     if norm < CONDITIONING_FLOOR:
         raise ImpossibleConditioningError(
@@ -327,41 +322,32 @@ def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
             # at the standing level the only type-ell-descendant is the
             # individual itself, so the evaluation point is the indicator
             # complement of ell exactly
-            expect = np.ones(spec.k)
-            expect[ell - 1] = 0.0
-            assert np.array_equal(s, expect)
+            assert np.array_equal(s, 1.0 - np.eye(spec.k)[ell - 1])
         value *= pgf_partial(spec, a[nprime], a[nprime - 1], s)
     return value / norm
 
 
-def B1_tail(
-    spec: ModelSpec, ell: int, top_type: int, n: int, cap: int | None = None
-) -> float:
+def B1_tail(spec: ModelSpec, ell: int, top_type: int, n: int) -> float:
     """P(exactly one standing type-ell descendant | at least one, root top_type)."""
     if ell < 1 or ell > spec.k:
         raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
+    if top_type < 1 or top_type > spec.k:
+        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
     if n == 0:
-        if top_type < 1 or top_type > spec.k:
-            raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
         if top_type != ell:
             raise ImpossibleConditioningError(
                 f"a type-{top_type} individual is not a type-{ell} descendant of itself"
             )
         return 1.0
-    law = (
-        conditioned_popsize_law(spec, n, top_type, cap)
-        if cap is not None
-        else _popsize_with_budget(spec, n, top_type)
-    )
-    marg = law.marginal(ell)
-    alive = 1.0 - float(marg[0])
-    if alive < CONDITIONING_FLOOR:
+    e_ell = np.eye(spec.k)[ell - 1]
+    singles, alive = _single_descendant_probs(spec, n, 1.0 - e_ell, e_ell)
+    if alive[top_type - 1] < CONDITIONING_FLOOR:
         raise ImpossibleConditioningError(
             f"type {top_type} cannot have type-{ell} descendants after {n} generations"
         )
-    return float(marg[1] / alive)
+    return float(singles[top_type - 1] / alive[top_type - 1])
 
 
 # -- exhaustive small-instance oracle ----------------------------------------
@@ -745,7 +731,6 @@ class LawRow:
     n: int
     conditioning: str
     value: float
-    mass_deficit: float = 0.0
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.value <= 1.0 + 1e-12:
@@ -774,10 +759,9 @@ class LawTable:
                     )
 
     def to_csv(self) -> str:
-        lines = ["formula,model,n,conditioning,value,mass_deficit"]
+        lines = ["formula,model,n,conditioning,value"]
         for row in self.rows:
             lines.append(
-                f"{row.formula},{row.model},{row.n},{row.conditioning},"
-                f"{row.value!r},{row.mass_deficit!r}"
+                f"{row.formula},{row.model},{row.n},{row.conditioning},{row.value!r}"
             )
         return "\n".join(lines) + "\n"

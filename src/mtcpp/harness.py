@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dchain, forest
-from .analytics import A1_tail, B1_tail, LawRow, LawTable, _popsize_with_budget
+from .analytics import A1_tail, B1_tail, LawRow, LawTable
 from .errors import (
     CensoredError,
     GuardError,
@@ -117,6 +118,17 @@ class RunConfig:
                 )
         elif self.two_type is not None:
             raise SchemaError(f"task {self.task!r} needs a model spec or LF parameters")
+        if (
+            self.task == "validate"
+            and self.model_spec is not None
+            and self.n_max > self.horizon - 1
+        ):
+            # validate on a finite-support model runs a_first; refuse before
+            # the law table is built rather than after
+            raise SchemaError(
+                f"validate on a finite-support model needs n_max <= horizon - 1, "
+                f"got n_max={self.n_max}, horizon={self.horizon}"
+            )
 
     @property
     def model(self):
@@ -492,15 +504,6 @@ def _law_table(cfg: RunConfig) -> LawTable:
         table.check_tails_monotone()
         return table
     spec = cfg.model_spec
-    deficits: dict[tuple[int, int], float] = {}
-
-    def deficit(n, top):
-        if (n, top) not in deficits:
-            deficits[(n, top)] = (
-                0.0 if n == 0 else _popsize_with_budget(spec, n, top).deficit
-            )
-        return deficits[(n, top)]
-
     for n in range(cfg.n_max + 1):
         for top in range(1, spec.k + 1):
             # the conditioning event names the ancestor depth: rows with
@@ -517,7 +520,6 @@ def _law_table(cfg: RunConfig) -> LawTable:
                     n=n,
                     conditioning=f"anc@{n}={top}",
                     value=value,
-                    mass_deficit=deficit(n, top),
                 )
             )
     for ell in range(1, spec.k + 1):
@@ -534,7 +536,6 @@ def _law_table(cfg: RunConfig) -> LawTable:
                         n=n,
                         conditioning=f"ell={ell},anc@{n}={top}",
                         value=value,
-                        mass_deficit=deficit(n, top),
                     )
                 )
     return LawTable(rows=tuple(rows))
@@ -748,13 +749,19 @@ def _write_outputs(cfg: RunConfig, out: dict) -> None:
             fh.write(text)
 
 
+def _failed(exc: Exception, status: int) -> int:
+    print(f"mtcpp: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return status
+
+
 def run(config: RunConfig) -> int:
     """Execute one task; returns the process exit status.
 
     0 success, 1 schema/input errors, 2 resource-guard breaches,
     3 statistical validation failures, 4 I/O errors.  report.json is
     written whenever the task got far enough to produce checks, including
-    on validation failure.
+    on validation failure.  Every failure prints its exception class and
+    message to stderr.
     """
     out: dict[str, str] = {}
     try:
@@ -766,15 +773,15 @@ def run(config: RunConfig) -> int:
                 config, checks, list(out.keys()) + ["report.json"]
             )
             _write_outputs(config, out)
-            return 3
+            return _failed(exc, 3)
         out["report.json"] = _report(config, checks, list(out.keys()) + ["report.json"])
         _write_outputs(config, out)
         return 0
-    except (SchemaError, ImpossibleConditioningError, InconsistentStateError):
-        return 1
-    except (GuardError, CensoredError):
-        return 2
-    except NumericConsistencyError:
-        return 3
-    except OSError:
-        return 4
+    except (SchemaError, ImpossibleConditioningError, InconsistentStateError) as exc:
+        return _failed(exc, 1)
+    except (GuardError, CensoredError) as exc:
+        return _failed(exc, 2)
+    except NumericConsistencyError as exc:
+        return _failed(exc, 3)
+    except OSError as exc:
+        return _failed(exc, 4)

@@ -26,6 +26,7 @@ __all__ = [
     "pgf_eval",
     "pgf_eval_all",
     "pgf_iterate",
+    "complement_orbit",
     "pgf_partial",
     "mean_matrix",
     "perron",
@@ -326,11 +327,47 @@ def perron(M: np.ndarray) -> SpectralInfo:
     return SpectralInfo(rho=rho, u=u, v=v, criticality=crit)
 
 
+def _complement_step(spec: ModelSpec, q: np.ndarray) -> np.ndarray:
+    """1 - f(1 - q) without forming 1 - q.
+
+    Each parent type's term is sum_z p_z (1 - prod_j (1 - q_j)**z_j), with
+    the product taken as exp(sum_j z_j log1p(-q_j)).  Tiny survival
+    probabilities keep their relative precision, where 1 - f(s) cancels.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(-q)  # -inf where q_j == 1
+    out = np.empty(spec.k)
+    for ell in range(spec.k):
+        z = spec.counts[ell]
+        # z_j = 0 factors are 1 even when q_j == 1 (0**0 = 1); skip them
+        # rather than form 0 * -inf
+        expo = np.multiply(z, logs, out=np.zeros(z.shape), where=z > 0).sum(axis=1)
+        out[ell] = spec.probs[ell] @ -np.expm1(expo)
+    # rounding can push a coordinate past 1; clip to stay in domain
+    return np.clip(out, 0.0, 1.0)
+
+
+def complement_orbit(spec: ModelSpec, n: int, s) -> np.ndarray:
+    """Rows 1 - f^(j)(s) for j = 0..n, as an (n+1, k) array.
+
+    One pass along the orbit of s.  At s = 0 row j is the per-type survival
+    probability over j generations; at s = 1 - e_ell it is the probability
+    of having type-ell descendants j generations on.
+    """
+    if n < 0:
+        raise SchemaError(f"iteration count must be >= 0, got {n}")
+    out = np.empty((n + 1, spec.k))
+    out[0] = 1.0 - _check_s(spec, s)
+    for j in range(n):
+        out[j + 1] = _complement_step(spec, out[j])
+    return out
+
+
 def survival_vector(spec: ModelSpec, n: int) -> np.ndarray:
     """Probability that one individual of each type has descendants n generations on."""
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    return 1.0 - pgf_iterate(spec, n, np.zeros(spec.k))
+    return complement_orbit(spec, n, np.zeros(spec.k))[n]
 
 
 def type_survival_vector(spec: ModelSpec, n: int, ell: int) -> np.ndarray:
@@ -340,4 +377,4 @@ def type_survival_vector(spec: ModelSpec, n: int, ell: int) -> np.ndarray:
     _check_type(spec, ell)
     e_hat = np.ones(spec.k)
     e_hat[ell - 1] = 0.0
-    return 1.0 - pgf_iterate(spec, n, e_hat)
+    return complement_orbit(spec, n, e_hat)[n]

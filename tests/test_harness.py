@@ -53,6 +53,16 @@ def test_config_needs_exactly_one_model_source(e1, lf1):
         RunConfig(task="laws", seed=1, out_dir="x", model_spec=e1, lf_params=lf1)
 
 
+def test_config_refuses_first_pair_rows_past_horizon(e1, lf1):
+    # validate on a finite-support model runs a_first, which needs
+    # n_max <= horizon - 1; the refusal comes before any work
+    with pytest.raises(SchemaError, match="n_max <= horizon - 1"):
+        RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, horizon=3, n_max=3)
+    RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, horizon=4, n_max=3)
+    RunConfig(task="laws", seed=1, out_dir="x", model_spec=e1, horizon=3, n_max=3)
+    RunConfig(task="validate", seed=1, out_dir="x", lf_params=lf1, horizon=3, n_max=3)
+
+
 def test_config_two_type_pairing(lf1):
     with pytest.raises(SchemaError):
         RunConfig(task="compare-two-type", seed=1, out_dir="x", lf_params=lf1)
@@ -179,10 +189,10 @@ def test_laws_task_depth_zero_rows_are_one(lf1, tmp_path):
     )
     assert run(cfg) == 0
     lines = (tmp_path / "laws.csv").read_text().splitlines()
-    assert lines[0] == "formula,model,n,conditioning,value,mass_deficit"
+    assert lines[0] == "formula,model,n,conditioning,value"
     zero_rows = [l for l in lines[1:] if l.split(",")[2] == "0"]
     assert zero_rows
-    assert all(float(l.split(",")[-2]) == 1.0 for l in zero_rows)
+    assert all(float(l.split(",")[-1]) == 1.0 for l in zero_rows)
 
 
 def test_laws_task_spec_names_conditioning(e1, tmp_path):
@@ -213,7 +223,7 @@ def test_validate_task_passes_and_reports(lf1, tmp_path):
     assert (tmp_path / "estimates.csv").exists()
 
 
-def test_validate_task_failure_exits_3_with_report(e1, tmp_path, monkeypatch):
+def test_validate_task_failure_exits_3_with_report(e1, tmp_path, monkeypatch, capsys):
     # poison the analytic law so every scored row is far off
     import mtcpp.harness as harness
 
@@ -230,6 +240,7 @@ def test_validate_task_failure_exits_3_with_report(e1, tmp_path, monkeypatch):
     assert run(cfg) == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is False
+    assert capsys.readouterr().err.startswith("mtcpp: ValidationFailure: validation failed")
 
 
 def test_simulate_task_outputs(e1, tmp_path):
@@ -305,19 +316,44 @@ def test_run_is_deterministic_and_thread_invariant(lf1, tmp_path):
     assert len(set(digests)) == 1
 
 
-def test_run_maps_guard_breach_to_exit_2(tmp_path):
-    # six offspring per node: the depth-5 population law outgrows the
-    # single-type table ceiling, so the laws task hits the resource guard
+def _explosive():
+    # six offspring per node, or none: the population grows ~5.7-fold a generation
     from mtcpp.model import ModelSpec
 
-    explosive = ModelSpec.from_pmf({1: {(6,): 0.95, (0,): 0.05}})
+    return ModelSpec.from_pmf({1: {(6,): 0.95, (0,): 0.05}})
+
+
+def test_run_maps_guard_breach_to_exit_2(tmp_path, monkeypatch, capsys):
+    # the forest node cap trips on the explosive model; a small cap keeps
+    # the tree that trips it small
+    from functools import partial
+
+    import mtcpp.forest as forest
+
+    monkeypatch.setattr(
+        forest, "simulate_standing", partial(forest.simulate_standing, node_cap=2000)
+    )
     cfg = RunConfig(
-        task="laws", seed=3, out_dir=str(tmp_path), model_spec=explosive, n_max=5
+        task="simulate", seed=3, out_dir=str(tmp_path), model_spec=_explosive(), horizon=8
     )
     assert run(cfg) == 2
+    assert capsys.readouterr().err.startswith("mtcpp: GuardError: tree exceeded the node cap")
 
 
-def test_run_maps_impossible_model_to_exit_1(tmp_path):
+def test_laws_task_exact_on_explosive_model(tmp_path):
+    # the Jacobian-product laws need no population-size truncation, so the
+    # explosive model that outgrows any count-vector table tabulates fine
+    cfg = RunConfig(
+        task="laws", seed=3, out_dir=str(tmp_path), model_spec=_explosive(), n_max=5
+    )
+    assert run(cfg) == 0
+    rows = (tmp_path / "laws.csv").read_text().splitlines()[1:]
+    # an individual has six children or none, so one standing descendant
+    # is impossible below the root's own generation
+    assert [float(r.split(",")[-1]) for r in rows if r.startswith("a_tail")] == [1.0] + [0.0] * 5
+
+
+def test_run_maps_impossible_model_to_exit_1(tmp_path, capsys):
     # extinction after one generation: survival conditioning is impossible
     from mtcpp.model import ModelSpec
 
@@ -331,6 +367,7 @@ def test_run_maps_impossible_model_to_exit_1(tmp_path):
         horizon=4,
     )
     assert run(cfg) == 1
+    assert capsys.readouterr().err.startswith("mtcpp: ImpossibleConditioningError: ")
 
 
 # -- command line ------------------------------------------------------------

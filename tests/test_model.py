@@ -9,6 +9,7 @@ from mtcpp.errors import SchemaError
 from mtcpp.model import (
     ModelSpec,
     NotPositiveRegularError,
+    complement_orbit,
     is_positive_regular,
     mean_matrix,
     perron,
@@ -205,6 +206,20 @@ def test_iterate_semigroup(spec, a, b, s):
     lhs = pgf_iterate(spec, a + b, s)
     rhs = pgf_iterate(spec, a, pgf_iterate(spec, b, s))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@given(
+    spec=small_specs(),
+    n=st.integers(min_value=0, max_value=6),
+    s=st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0]), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_complement_orbit_matches_iterate(spec, n, s):
+    s = np.array(s[: spec.k])
+    orbit = complement_orbit(spec, n, s)
+    assert orbit.shape == (n + 1, spec.k)
+    for j in range(n + 1):
+        np.testing.assert_allclose(orbit[j], 1.0 - pgf_iterate(spec, j, s), atol=1e-12)
 
 
 @given(spec=small_specs())
