@@ -761,7 +761,7 @@ class LawTable:
     def to_csv(self) -> str:
         lines = ["formula,model,n,conditioning,value"]
         for row in self.rows:
-            lines.append(
-                f"{row.formula},{row.model},{row.n},{row.conditioning},{row.value!r}"
-            )
+            # "ell=l,anc@n=t" holds a comma: quote it so every row has five fields
+            cond = f'"{row.conditioning}"' if "," in row.conditioning else row.conditioning
+            lines.append(f"{row.formula},{row.model},{row.n},{cond},{row.value!r}")
         return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -203,6 +204,9 @@ def test_laws_task_spec_names_conditioning(e1, tmp_path):
     text = (tmp_path / "laws.csv").read_text()
     assert "anc@2=1" in text
     assert "ell=2,anc@1=1" in text
+    rows = list(csv.reader(text.splitlines()))
+    assert {len(r) for r in rows} == {5}
+    assert ["b_tail", "spec", "1", "ell=2,anc@1=1"] in [r[:4] for r in rows]
 
 
 def test_validate_task_passes_and_reports(lf1, tmp_path):
