@@ -259,19 +259,16 @@ def joint_A1_law(spec: ModelSpec, a) -> float:
     return value / norm
 
 
-def _single_descendant_probs(
-    spec: ModelSpec, n: int, s, weights
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D f^(n)(s) @ weights, 1 - f^(n)(s)) by one walk along the orbit of s.
+def _single_descendant_probs(spec: ModelSpec, n: int, s, w) -> tuple[np.ndarray, np.ndarray]:
+    """(D f^(n)(s) @ w, 1 - f^(n)(s)) by one walk along the orbit of s.
 
     The chain rule makes the Jacobian of f^(n) at s the product
     Df(f^(n-1)(s)) ... Df(f^(0)(s)) of k x k matrices [d f_i / d s_j],
-    applied here right to left to the weight vector.  At s = 0, entry (i, j)
+    applied here right to left to the vector w.  At s = 0, entry (i, j)
     of the product is P(Z_n = e_j | Z_0 = e_i); at s = 1 - e_ell, entry
     (i, ell) is the probability of exactly one type-ell descendant.
     """
     q = complement_orbit(spec, n, s)
-    w = weights
     types = range(1, spec.k + 1)
     for j in range(n):
         point = 1.0 - q[j]
