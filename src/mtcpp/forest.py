@@ -11,6 +11,7 @@ blocks.
 from __future__ import annotations
 
 import bisect
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -25,6 +26,7 @@ __all__ = [
     "PlanarTree",
     "StandingPopulation",
     "CoalescentRecord",
+    "CoalescentRecords",
     "simulate_forward",
     "simulate_standing",
     "standing_population",
@@ -274,7 +276,7 @@ def simulate_forward(
     return _layers_to_tree(types_layers, parent_layers, depth, 0)
 
 
-def _concat_trees(trees: list[PlanarTree]) -> PlanarTree:
+def _concat_trees(trees: list[PlanarTree], rejections: int) -> PlanarTree:
     depth = trees[0].horizon
     types_layers = []
     parent_layers = []
@@ -294,7 +296,7 @@ def _concat_trees(trees: list[PlanarTree]) -> PlanarTree:
         root_generation=-depth,
         types=tuple(types_layers),
         parents=tuple(parent_layers),
-        rejections=sum(t.rejections for t in trees),
+        rejections=rejections,
     )
 
 
@@ -347,13 +349,7 @@ def simulate_standing(
         survivors.append(tree)
         got += tree.width
         if got >= target_width:
-            out = _concat_trees(survivors)
-            return PlanarTree(
-                root_generation=out.root_generation,
-                types=out.types,
-                parents=out.parents,
-                rejections=rejections,
-            )
+            return _concat_trees(survivors, rejections)
 
 
 def standing_population(tree: PlanarTree) -> StandingPopulation:
@@ -378,60 +374,75 @@ def ancestor_index(tree: PlanarTree, i: int, n: int) -> int:
     return idx
 
 
-def _ancestor_levels(tree: PlanarTree) -> list[np.ndarray]:
-    """anc[n][i-1] = a_i(n) for every standing i, n = 0..T."""
-    w = tree.width
-    anc = [np.arange(1, w + 1, dtype=np.int64)]
-    layer = len(tree.parents) - 1
-    for _ in range(tree.horizon):
-        anc.append(tree.parents[layer][anc[-1] - 1])
-        layer -= 1
+def _ancestor_levels(tree: PlanarTree) -> np.ndarray:
+    """anc[n, i-1] = a_i(n) for every standing i, n = 0..T."""
+    T = tree.horizon
+    anc = np.empty((T + 1, tree.width), dtype=np.int64)
+    anc[0] = np.arange(1, tree.width + 1)
+    for n in range(1, T + 1):
+        anc[n] = tree.parents[T + 1 - n][anc[n - 1] - 1]
     return anc
 
 
-def coalescence_times(tree: PlanarTree) -> list[CoalescentRecord]:
-    """One CoalescentRecord per consecutive standing pair, left to right."""
+class CoalescentRecords(Sequence[CoalescentRecord]):
+    """The coalescent records of one tree, held as arrays.
+
+    a[p] is A_{p+1} (0 when censored), mass[p] the record's mass and
+    lineage[:, p] its lineage_inf column, for p = 0..w-2.  A
+    CoalescentRecord is built only when an entry is indexed.
+    """
+
+    def __init__(self, a: np.ndarray, mass: np.ndarray, lineage: np.ndarray):
+        self.a = a
+        self.mass = mass
+        self.lineage = lineage
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, pos: int) -> CoalescentRecord:
+        pos = range(len(self.a))[operator.index(pos)]
+        a = int(self.a[pos]) or None
+        inf = tuple(self.lineage[:, pos].tolist())
+        return CoalescentRecord(
+            i=pos + 1,
+            a=a,
+            mass=int(self.mass[pos]),
+            lineage=inf[: a or 0],
+            lineage_inf=inf,
+        )
+
+
+def coalescence_times(tree: PlanarTree) -> CoalescentRecords:
+    """Coalescent records of the consecutive standing pairs, left to right.
+
+    Returns an array-backed sequence: A, mass and the lineage types of
+    every pair are computed as arrays, and a CoalescentRecord is built
+    only when an entry is indexed or iterated.
+    """
     w = tree.width
     if w < 1:
         raise SchemaError("standing population is empty")
-    if w == 1:
-        return []
     T = tree.horizon
     anc = _ancestor_levels(tree)
-    eqmat = np.stack([anc[n][:-1] == anc[n][1:] for n in range(1, T + 1)])
-    has_mrca = eqmat.any(axis=0)
-    first_eq = eqmat.argmax(axis=0) + 1
-    a_vals: list[int | None] = [
-        int(first_eq[pos]) if has_mrca[pos] else None for pos in range(w - 1)
-    ]
-    # mass: suffix count of pairs sharing this pair's MRCA node
-    counts: dict[tuple[int, int], int] = {}
-    masses = [1] * (w - 1)
-    for pos in range(w - 2, -1, -1):
-        a = a_vals[pos]
-        if a is None:
-            continue
-        key = (a, int(anc[a][pos]))
-        counts[key] = counts.get(key, 0) + 1
-        masses[pos] = counts[key]
-    # ancestry types per standing node, generations 0..-(T-1), as columns
-    typ_rows = np.stack([tree.types[T - n][anc[n] - 1] for n in range(T)])
-    typ_cols = typ_rows.T.tolist()
-    records = []
-    for pos in range(w - 1):
-        a = a_vals[pos]
-        inf = tuple(typ_cols[pos + 1])
-        lineage = inf[:a] if a is not None else ()
-        records.append(
-            CoalescentRecord(
-                i=pos + 1,
-                a=a,
-                mass=masses[pos],
-                lineage=lineage,
-                lineage_inf=inf,
-            )
-        )
-    return records
+    eqmat = anc[1:, :-1] == anc[1:, 1:]
+    a = np.where(eqmat.any(axis=0), eqmat.argmax(axis=0) + 1, 0)
+    # mass: suffix count of pairs sharing this pair's MRCA node, i.e. the
+    # rank of the pair among its (a, node) group in descending position
+    pos = np.flatnonzero(a)
+    key_a = a[pos]
+    key_node = anc[key_a, pos]
+    order = np.lexsort((-pos, key_node, key_a))
+    key_a, key_node = key_a[order], key_node[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (key_a[1:] != key_a[:-1]) | (key_node[1:] != key_node[:-1])
+    ranks = np.arange(len(order))
+    ranks -= np.maximum.accumulate(np.where(starts, ranks, 0))
+    mass = np.ones(w - 1, dtype=np.int64)
+    mass[pos[order]] = ranks + 1
+    # ancestry types of each right pair member, generations 0..-(T-1)
+    lineage = np.stack([tree.types[T - n][anc[n, 1:] - 1] for n in range(T)])
+    return CoalescentRecords(a, mass, lineage)
 
 
 def _a_value(entry) -> int | None:
@@ -503,18 +514,49 @@ def ancestral_subtree(tree: PlanarTree) -> PlanarTree:
 
 def dump_tree(tree: PlanarTree) -> str:
     """Line-oriented dump: gen<TAB>index<TAB>type<TAB>parent_index."""
-    lines = [
-        f"{rec.generation}\t{rec.index}\t{rec.type}\t{rec.parent}"
-        for rec in tree.nodes()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    layers = []
+    for j, (t, p) in enumerate(zip(tree.types, tree.parents)):
+        line = f"{tree.root_generation + j}\t%d\t%d\t%d\n".__mod__
+        rows = zip(range(1, len(t) + 1), t.tolist(), p.tolist())
+        layers.append("".join(map(line, rows)))
+    return "".join(layers)
+
+
+def _pack_records(records: Sequence[CoalescentRecord]):
+    """(i, a, mass, lineage) arrays of plain records; a is 0 when censored."""
+    n = len(records)
+    i = np.array([r.i for r in records], dtype=np.int64)
+    a = np.array([r.a or 0 for r in records], dtype=np.int64)
+    mass = np.array([r.mass for r in records], dtype=np.int64)
+    lineage = np.zeros((int(a.max(initial=0)), n), dtype=np.int64)
+    for p, r in enumerate(records):
+        if len(r.lineage) != a[p]:
+            raise SchemaError(
+                f"record {r.i} has {len(r.lineage)} lineage types for A = {r.a}"
+            )
+        lineage[: a[p], p] = r.lineage
+    return i, a, mass, lineage
 
 
 def records_to_csv(records: Sequence[CoalescentRecord]) -> str:
-    """CSV with columns i,A,mass,censored,lineage (lineage hyphen-joined)."""
-    lines = ["i,A,mass,censored,lineage"]
-    for r in records:
-        a = "" if r.a is None else str(r.a)
-        lineage = "-".join(str(t) for t in r.lineage)
-        lines.append(f"{r.i},{a},{r.mass},{int(r.censored)},{lineage}")
-    return "\n".join(lines) + "\n"
+    """CSV with columns i,A,mass,censored,lineage (lineage hyphen-joined).
+
+    Rows are formatted from arrays, one A value at a time; plain record
+    lists are packed into the same arrays first.
+    """
+    if isinstance(records, CoalescentRecords):
+        a, mass, lineage = records.a, records.mass, records.lineage
+        i = np.arange(1, len(a) + 1)
+    else:
+        i, a, mass, lineage = _pack_records(records)
+    rows = np.empty(len(a), dtype=object)
+    for depth in np.unique(a).tolist():
+        at = np.flatnonzero(a == depth)
+        if depth == 0:
+            line = "%d,,%d,1,\n"
+            cols = (i[at], mass[at])
+        else:
+            line = "%d,%d,%d,0," + "-".join(["%d"] * depth) + "\n"
+            cols = (i[at], a[at], mass[at], *lineage[:depth, at])
+        rows[at] = list(map(line.__mod__, zip(*(c.tolist() for c in cols))))
+    return "i,A,mass,censored,lineage\n" + "".join(rows.tolist())

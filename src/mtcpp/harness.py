@@ -728,7 +728,9 @@ _TASK_FN = {
 }
 
 
-def _report(cfg: RunConfig, checks: list[dict], outputs: list[str]) -> str:
+def _report(
+    cfg: RunConfig, checks: list[dict], outputs: list[str], error: dict | None = None
+) -> str:
     doc = {
         "task": cfg.task,
         "model": cfg.model_label if cfg.two_type is None else "two-type",
@@ -737,8 +739,10 @@ def _report(cfg: RunConfig, checks: list[dict], outputs: list[str]) -> str:
         "horizon": cfg.horizon,
         "outputs": sorted(outputs),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": error is None and all(c["passed"] for c in checks),
     }
+    if error is not None:
+        doc["error"] = error
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -749,8 +753,17 @@ def _write_outputs(cfg: RunConfig, out: dict) -> None:
             fh.write(text)
 
 
-def _failed(exc: Exception, status: int) -> int:
+def _failed(
+    cfg: RunConfig, exc: Exception, status: int, out: dict, checks: list[dict]
+) -> int:
+    """Report a failed run on stderr and in report.json; return its status.
+
+    `out` holds the files to write beside the report.
+    """
     print(f"mtcpp: {type(exc).__name__}: {exc}", file=sys.stderr)
+    error = {"class": type(exc).__name__, "message": str(exc), "exit": status}
+    out["report.json"] = _report(cfg, checks, list(out) + ["report.json"], error)
+    _write_outputs(cfg, out)
     return status
 
 
@@ -758,10 +771,13 @@ def run(config: RunConfig) -> int:
     """Execute one task; returns the process exit status.
 
     0 success, 1 schema/input errors, 2 resource-guard breaches,
-    3 statistical validation failures, 4 I/O errors.  report.json is
-    written whenever the task got far enough to produce checks, including
-    on validation failure.  Every failure prints its exception class and
-    message to stderr.
+    3 statistical validation or numeric-consistency failures, 4 I/O
+    errors.  Every failure prints its exception class and message to
+    stderr.  A failure other than an I/O error also writes report.json
+    with "passed": false and an "error" block (class, message, exit
+    status); a validation failure writes its checks and files with it.
+    An I/O error writes no report, since the output directory may be
+    what failed.
     """
     out: dict[str, str] = {}
     try:
@@ -769,19 +785,16 @@ def run(config: RunConfig) -> int:
             checks = _TASK_FN[config.task](config, out)
         except ValidationFailure as exc:
             checks = [{"name": "validation", "passed": False, "detail": str(exc)}]
-            out["report.json"] = _report(
-                config, checks, list(out.keys()) + ["report.json"]
-            )
-            _write_outputs(config, out)
-            return _failed(exc, 3)
+            return _failed(config, exc, 3, out, checks)
+        except (SchemaError, ImpossibleConditioningError, InconsistentStateError) as exc:
+            return _failed(config, exc, 1, {}, [])
+        except (GuardError, CensoredError) as exc:
+            return _failed(config, exc, 2, {}, [])
+        except NumericConsistencyError as exc:
+            return _failed(config, exc, 3, {}, [])
         out["report.json"] = _report(config, checks, list(out.keys()) + ["report.json"])
         _write_outputs(config, out)
         return 0
-    except (SchemaError, ImpossibleConditioningError, InconsistentStateError) as exc:
-        return _failed(exc, 1)
-    except (GuardError, CensoredError) as exc:
-        return _failed(exc, 2)
-    except NumericConsistencyError as exc:
-        return _failed(exc, 3)
     except OSError as exc:
-        return _failed(exc, 4)
+        print(f"mtcpp: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4

@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-import numpy as np
-
-__all__ = ["derive_seed", "stream", "np_stream"]
+__all__ = ["derive_seed", "stream"]
 
 
 def derive_seed(master_seed: int, *keys: int | str) -> int:
@@ -33,7 +31,3 @@ def stream(master_seed: int, *keys: int | str) -> random.Random:
     """Scalar random stream (fast path for tree and chain simulation)."""
     return random.Random(derive_seed(master_seed, *keys))
 
-
-def np_stream(master_seed: int, *keys: int | str) -> np.random.Generator:
-    """NumPy generator stream for vectorized sampling."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *keys)))

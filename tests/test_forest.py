@@ -16,7 +16,7 @@ from mtcpp.forest import (
     simulate_standing,
     standing_population,
 )
-from mtcpp.lf import lf_coalescence_law, lf_to_modelspec, two_type_models
+from mtcpp.lf import LFParams, lf_coalescence_law, lf_to_modelspec, two_type_models
 from mtcpp.model import ModelSpec, mean_matrix, survival_vector
 from mtcpp.rng import stream
 
@@ -69,6 +69,133 @@ def sibling_then_deep_tree() -> PlanarTree:
     )
 
 
+def one_wide_tree() -> PlanarTree:
+    return PlanarTree(
+        root_generation=-1,
+        types=(np.array([1]), np.array([2])),
+        parents=(np.array([0]), np.array([1])),
+    )
+
+
+def censored_tree() -> PlanarTree:
+    # two roots, never coalesce within the window
+    return PlanarTree(
+        root_generation=-2,
+        types=(np.array([1, 1]), np.array([1, 2]), np.array([1, 1])),
+        parents=(np.array([0, 0]), np.array([1, 2]), np.array([1, 2])),
+    )
+
+
+def three_child_tree() -> PlanarTree:
+    return PlanarTree(
+        root_generation=-1,
+        types=(np.array([1]), np.array([1, 2, 1])),
+        parents=(np.array([0]), np.array([1, 1, 1])),
+    )
+
+
+#: Three-type linear-fractional model, rho ~ 1.26.
+LF3 = LFParams(
+    k=3,
+    H=np.array([[0.3, 0.2, 0.2], [0.1, 0.4, 0.2], [0.2, 0.2, 0.3]]),
+    g=np.array([0.5, 0.3, 0.2]),
+    m=0.8,
+)
+
+
+# -- per-object reference emission ------------------------------------------
+
+
+def reference_dump_tree(tree: PlanarTree) -> str:
+    """One NodeRecord per node, one f-string per line."""
+    lines = [
+        f"{rec.generation}\t{rec.index}\t{rec.type}\t{rec.parent}"
+        for rec in tree.nodes()
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_coalescence_times(tree: PlanarTree) -> list[CoalescentRecord]:
+    """One CoalescentRecord per pair; masses by a dict of suffix counts."""
+    w = tree.width
+    if w == 1:
+        return []
+    T = tree.horizon
+    anc = [np.arange(1, w + 1)]
+    for n in range(1, T + 1):
+        anc.append(tree.parents[T + 1 - n][anc[-1] - 1])
+    eqmat = np.stack([anc[n][:-1] == anc[n][1:] for n in range(1, T + 1)])
+    has_mrca = eqmat.any(axis=0)
+    first_eq = eqmat.argmax(axis=0) + 1
+    a_vals = [int(first_eq[pos]) if has_mrca[pos] else None for pos in range(w - 1)]
+    counts: dict[tuple[int, int], int] = {}
+    masses = [1] * (w - 1)
+    for pos in range(w - 2, -1, -1):
+        a = a_vals[pos]
+        if a is None:
+            continue
+        key = (a, int(anc[a][pos]))
+        counts[key] = counts.get(key, 0) + 1
+        masses[pos] = counts[key]
+    typ_cols = np.stack([tree.types[T - n][anc[n] - 1] for n in range(T)]).T.tolist()
+    records = []
+    for pos in range(w - 1):
+        a = a_vals[pos]
+        inf = tuple(typ_cols[pos + 1])
+        records.append(
+            CoalescentRecord(
+                i=pos + 1,
+                a=a,
+                mass=masses[pos],
+                lineage=inf[:a] if a is not None else (),
+                lineage_inf=inf,
+            )
+        )
+    return records
+
+
+def reference_records_to_csv(records) -> str:
+    lines = ["i,A,mass,censored,lineage"]
+    for r in records:
+        a = "" if r.a is None else str(r.a)
+        lineage = "-".join(str(t) for t in r.lineage)
+        lines.append(f"{r.i},{a},{r.mass},{int(r.censored)},{lineage}")
+    return "\n".join(lines) + "\n"
+
+
+def _record_fields(r: CoalescentRecord):
+    return (r.i, r.a, r.mass, r.lineage, r.lineage_inf, r.censored)
+
+
+def _first_difference(text: str, ref: str):
+    """None when the texts are equal, else the first differing line pair.
+
+    Keeps a failure message short where a full diff of megabyte texts
+    would take minutes.
+    """
+    if text == ref:
+        return None
+    lines, ref_lines = text.split("\n"), ref.split("\n")
+    n = next(
+        (n for n, (a, b) in enumerate(zip(lines, ref_lines)) if a != b),
+        min(len(lines), len(ref_lines)),
+    )
+    return n, lines[n : n + 1], ref_lines[n : n + 1]
+
+
+def assert_emission_matches_reference(tree: PlanarTree) -> None:
+    assert _first_difference(dump_tree(tree), reference_dump_tree(tree)) is None
+    recs = coalescence_times(tree)
+    ref = reference_coalescence_times(tree)
+    assert len(recs) == len(ref)
+    assert [_record_fields(r) for r in recs] == [_record_fields(r) for r in ref]
+    assert recs.mass.tolist() == [r.mass for r in ref]
+    text = reference_records_to_csv(ref)
+    assert _first_difference(records_to_csv(recs), text) is None
+    # a plain record list is packed into the same arrays first
+    assert _first_difference(records_to_csv(ref), text) is None
+
+
 def _ks_distance(xs, ys):
     xs = np.sort(np.asarray(xs))
     ys = np.sort(np.asarray(ys))
@@ -118,6 +245,37 @@ def test_node_accessors():
 
 def test_dump_tree_golden():
     assert dump_tree(f1_tree()) == "-1\t1\t1\t0\n0\t1\t1\t1\n0\t2\t2\t1\n"
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        one_wide_tree(),
+        f1_tree(),
+        censored_tree(),
+        three_child_tree(),
+        nested_tree(),
+        sibling_then_deep_tree(),
+    ],
+    ids=["width1", "f1", "all_censored", "three_child", "nested", "sibling_then_deep"],
+)
+def test_emission_matches_reference_on_edge_trees(tree):
+    assert_emission_matches_reference(tree)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "model,ordering,T",
+    [("lf3", "lf_first", 12), ("e1", "uniform", 6)],
+    ids=["lf3", "e1"],
+)
+def test_emission_matches_reference_on_seeded_forests(model, ordering, T, seed, e1):
+    model = LF3 if model == "lf3" else e1
+    tree = simulate_standing(
+        model, T, 600, stream(seed, "emit"), mode="concat", ordering=ordering
+    )
+    assert tree.width >= 600 and len(tree.types[0]) > 1
+    assert_emission_matches_reference(tree)
 
 
 # -- simulate_forward -------------------------------------------------------
@@ -276,12 +434,7 @@ def test_ancestor_index_monotone(e1):
 
 
 def test_coalescence_small_cases():
-    one_wide = PlanarTree(
-        root_generation=-1,
-        types=(np.array([1]), np.array([2])),
-        parents=(np.array([0]), np.array([1])),
-    )
-    assert coalescence_times(one_wide) == []
+    assert len(coalescence_times(one_wide_tree())) == 0
     recs = coalescence_times(f1_tree())
     assert len(recs) == 1
     r = recs[0]
@@ -290,12 +443,7 @@ def test_coalescence_small_cases():
 
 
 def test_three_child_mass():
-    tree = PlanarTree(
-        root_generation=-1,
-        types=(np.array([1]), np.array([1, 2, 1])),
-        parents=(np.array([0]), np.array([1, 1, 1])),
-    )
-    recs = coalescence_times(tree)
+    recs = coalescence_times(three_child_tree())
     assert [(r.a, r.mass) for r in recs] == [(1, 2), (1, 1)]
 
 
@@ -321,13 +469,7 @@ def test_lineage_entries():
 
 
 def test_censored_records():
-    # two roots, never coalesce within the window
-    tree = PlanarTree(
-        root_generation=-2,
-        types=(np.array([1, 1]), np.array([1, 2]), np.array([1, 1])),
-        parents=(np.array([0, 0]), np.array([1, 2]), np.array([1, 2])),
-    )
-    recs = coalescence_times(tree)
+    recs = coalescence_times(censored_tree())
     assert len(recs) == 1
     assert recs[0].censored and recs[0].a is None
     assert recs[0].lineage == ()
@@ -343,6 +485,9 @@ def test_records_csv():
     censored = CoalescentRecord(i=4, a=None, mass=1, lineage=(), lineage_inf=(1, 1))
     row = records_to_csv([censored]).strip().split("\n")[1]
     assert row == "4,,1,1,"
+    short = CoalescentRecord(i=1, a=2, mass=1, lineage=(1,), lineage_inf=(1, 1))
+    with pytest.raises(SchemaError, match="lineage"):
+        records_to_csv([short])
 
 
 def test_pairwise_examples():

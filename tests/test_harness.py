@@ -30,6 +30,17 @@ def _dir_digest(path):
     return h.hexdigest()
 
 
+def _assert_error_report(out_dir, err, cls, status, outputs=("report.json",)):
+    """report.json of a failed run names the error that stderr printed."""
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["outputs"] == sorted(outputs)
+    assert sorted(os.listdir(out_dir)) == sorted(outputs)
+    error = report["error"]
+    assert (error["class"], error["exit"]) == (cls, status)
+    assert err == f"mtcpp: {cls}: {error['message']}\n"
+
+
 # -- configuration -----------------------------------------------------------
 
 
@@ -242,9 +253,11 @@ def test_validate_task_failure_exits_3_with_report(e1, tmp_path, monkeypatch, ca
         n_max=2,
     )
     assert run(cfg) == 3
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["passed"] is False
-    assert capsys.readouterr().err.startswith("mtcpp: ValidationFailure: validation failed")
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: ValidationFailure: validation failed")
+    _assert_error_report(
+        tmp_path, err, "ValidationFailure", 3, ("laws.csv", "estimates.csv", "report.json")
+    )
 
 
 def test_simulate_task_outputs(e1, tmp_path):
@@ -341,7 +354,9 @@ def test_run_maps_guard_breach_to_exit_2(tmp_path, monkeypatch, capsys):
         task="simulate", seed=3, out_dir=str(tmp_path), model_spec=_explosive(), horizon=8
     )
     assert run(cfg) == 2
-    assert capsys.readouterr().err.startswith("mtcpp: GuardError: tree exceeded the node cap")
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: GuardError: tree exceeded the node cap")
+    _assert_error_report(tmp_path, err, "GuardError", 2)
 
 
 def test_laws_task_exact_on_explosive_model(tmp_path):
@@ -371,7 +386,36 @@ def test_run_maps_impossible_model_to_exit_1(tmp_path, capsys):
         horizon=4,
     )
     assert run(cfg) == 1
-    assert capsys.readouterr().err.startswith("mtcpp: ImpossibleConditioningError: ")
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: ImpossibleConditioningError: ")
+    _assert_error_report(tmp_path, err, "ImpossibleConditioningError", 1)
+
+
+def test_run_maps_route_disagreement_to_exit_3(tmp_path, monkeypatch, capsys):
+    # poison the closed-form mean so the iterate cross-check disagrees
+    import mtcpp.lf as lf
+
+    monkeypatch.setattr(lf, "_geom_series", lambda rho, d: 7.0)
+    cfg = RunConfig(
+        task="compare-two-type",
+        seed=1,
+        out_dir=str(tmp_path),
+        two_type=(0.3, 0.7, 0.5, 1.0),
+        n_max=3,
+    )
+    assert run(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: NumericConsistencyError: symmetric m^(1) iterate")
+    _assert_error_report(tmp_path, err, "NumericConsistencyError", 3)
+
+
+def test_run_maps_write_failure_to_exit_4_without_report(lf1, tmp_path, capsys):
+    # a directory where laws.csv belongs makes the first write fail
+    (tmp_path / "laws.csv").mkdir()
+    cfg = RunConfig(task="laws", seed=1, out_dir=str(tmp_path), lf_params=lf1, n_max=2)
+    assert run(cfg) == 4
+    assert capsys.readouterr().err.startswith("mtcpp: IsADirectoryError: ")
+    assert os.listdir(tmp_path) == ["laws.csv"]
 
 
 # -- command line ------------------------------------------------------------
