@@ -440,8 +440,11 @@ def coalescence_times(tree: PlanarTree) -> CoalescentRecords:
     ranks -= np.maximum.accumulate(np.where(starts, ranks, 0))
     mass = np.ones(w - 1, dtype=np.int64)
     mass[pos[order]] = ranks + 1
-    # ancestry types of each right pair member, generations 0..-(T-1)
-    lineage = np.stack([tree.types[T - n][anc[n, 1:] - 1] for n in range(T)])
+    # ancestry types of each right pair member, generations 0..-(T-1),
+    # filled row by row: stacking would hold the matrix twice
+    lineage = np.empty((T, w - 1), dtype=np.int64)
+    for n in range(T):
+        lineage[n] = tree.types[T - n][anc[n, 1:] - 1]
     return CoalescentRecords(a, mass, lineage)
 
 
