@@ -388,14 +388,14 @@ class CoalescentRecords(Sequence[CoalescentRecord]):
     """The coalescent records of one tree, held as arrays.
 
     a[p] is A_{p+1} (0 when censored), mass[p] the record's mass and
-    lineage[:, p] its lineage_inf column, for p = 0..w-2.  A
+    lineage_inf[:, p] its lineage_inf, for p = 0..w-2.  A
     CoalescentRecord is built only when an entry is indexed.
     """
 
-    def __init__(self, a: np.ndarray, mass: np.ndarray, lineage: np.ndarray):
+    def __init__(self, a: np.ndarray, mass: np.ndarray, lineage_inf: np.ndarray):
         self.a = a
         self.mass = mass
-        self.lineage = lineage
+        self.lineage_inf = lineage_inf
 
     def __len__(self) -> int:
         return len(self.a)
@@ -403,7 +403,7 @@ class CoalescentRecords(Sequence[CoalescentRecord]):
     def __getitem__(self, pos: int) -> CoalescentRecord:
         pos = range(len(self.a))[operator.index(pos)]
         a = int(self.a[pos]) or None
-        inf = tuple(self.lineage[:, pos].tolist())
+        inf = tuple(self.lineage_inf[:, pos].tolist())
         return CoalescentRecord(
             i=pos + 1,
             a=a,
@@ -548,7 +548,7 @@ def records_to_csv(records: Sequence[CoalescentRecord]) -> str:
     lists are packed into the same arrays first.
     """
     if isinstance(records, CoalescentRecords):
-        a, mass, lineage = records.a, records.mass, records.lineage
+        a, mass, lineage = records.a, records.mass, records.lineage_inf
         i = np.arange(1, len(a) + 1)
     else:
         i, a, mass, lineage = _pack_records(records)

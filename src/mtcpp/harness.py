@@ -694,9 +694,8 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
         )
         if tree.width < 2:
             continue
-        forest_vals.extend(
-            r.a for r in forest.coalescence_times(tree) if r.a is not None
-        )
+        a = forest.coalescence_times(tree).a
+        forest_vals.extend(a[a > 0].tolist())
     forest_vals = forest_vals[: cfg.samples]
 
     result = ks_compare(chain_vals, forest_vals)

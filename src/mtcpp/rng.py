@@ -30,4 +30,3 @@ def derive_seed(master_seed: int, *keys: int | str) -> int:
 def stream(master_seed: int, *keys: int | str) -> random.Random:
     """Scalar random stream (fast path for tree and chain simulation)."""
     return random.Random(derive_seed(master_seed, *keys))
-
