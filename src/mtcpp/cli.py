@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from .dchain import INIT_MODES
 from .errors import SchemaError
 from .harness import RunConfig, run
 from .lf import LFParams
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon", type=int, metavar="T", help="tree depth")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--ordering", choices=("uniform", "lf_first"))
-    parser.add_argument("--init-mode", choices=("rejection", "sizebiased_spine"))
+    parser.add_argument("--init-mode", choices=INIT_MODES)
     parser.add_argument("--root-type", type=int)
     parser.add_argument("--n-max", type=int, help="deepest reported generation")
     return parser

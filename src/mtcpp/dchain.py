@@ -41,11 +41,15 @@ __all__ = [
     "sample_eta",
     "dchain_step",
     "init_quasistationary",
+    "INIT_MODES",
     "extract_dstates",
     "reconstruct_tree",
 ]
 
 DEFAULT_REJECTION_CAP = 10**6
+
+#: Chain start modes accepted by `init_quasistationary`.
+INIT_MODES = ("rejection", "sizebiased_spine")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +85,16 @@ class EtaSample:
 
 @dataclass(frozen=True, eq=False)
 class DState:
-    """Chain state: levels[j] holds level j+1, exactly horizon levels."""
+    """Chain state: levels[j] holds level j+1, exactly horizon levels.
+
+    States are checked where they enter: the constructor and `from_json`
+    refuse a horizon below 1, a level count other than the horizon, an
+    empty level and a type index below 1.  `dchain_step` and the
+    rejection start of `init_quasistationary` build their states through
+    the unchecked `_trusted`, because their levels are valid by
+    construction (every level is a nonempty list of sampled types in
+    1..k, exactly `horizon` of them).
+    """
 
     i: int
     levels: tuple[tuple[int, ...], ...]
@@ -99,6 +112,15 @@ class DState:
                 raise SchemaError(f"level {j + 1} is empty")
             if any(t < 1 for t in lvl):
                 raise SchemaError(f"level {j + 1} holds a type index < 1")
+
+    @classmethod
+    def _trusted(
+        cls, i: int, levels: tuple[tuple[int, ...], ...], horizon: int
+    ) -> "DState":
+        """A state whose levels the caller guarantees valid; no checks run."""
+        state = object.__new__(cls)
+        state.__dict__.update(i=i, levels=levels, horizon=horizon)
+        return state
 
     def coalescence_level(self) -> int | None:
         """First level with >= 2 entries, or None when all are singletons."""
@@ -130,6 +152,7 @@ class DState:
 
 
 _SURVIVAL_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_SURVIVAL_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _survival_seq(model, n: int) -> list[np.ndarray]:
@@ -153,6 +176,19 @@ def _survival_seq(model, n: int) -> list[np.ndarray]:
             )
         out.append(1.0 - s)
     return out[: n + 1]
+
+
+def _survival_rows(model, n: int) -> list[list[float]]:
+    """`_survival_seq` as Python float rows, at least n + 1 of them.
+
+    Cached per model like the arrays and rebuilt only when a deeper n is
+    asked for; the spine sampler reads one row per level.
+    """
+    rows = _SURVIVAL_ROWS.get(model)
+    if rows is None or len(rows) <= n:
+        rows = [row.tolist() for row in _survival_seq(model, n)]
+        _SURVIVAL_ROWS[model] = rows
+    return rows
 
 
 def _default_ordering(model) -> str:
@@ -225,13 +261,12 @@ def sample_eta(
     k = model.k
     if not 1 <= ell <= k:
         raise SchemaError(f"type {ell} outside 1..{k}")
-    p = _survival_seq(model, n)
-    if p[n][ell - 1] <= 0.0:
+    p_rows = _survival_rows(model, n)
+    if p_rows[n][ell - 1] <= 0.0:
         raise ImpossibleConditioningError(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
     sampler = _offspring_sampler(model, ordering or _default_ordering(model))
-    p_rows = [row.tolist() for row in p]
     levels: list[tuple[int, ...] | None] = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):
@@ -265,9 +300,12 @@ def dchain_step(
     eta = sample_eta(
         model, a - 1, new_spine_type, rng, ordering=ordering, rejection_cap=rejection_cap
     )
+    # eta gives a - 1 nonempty levels of sampled types, shifted is
+    # nonempty because level a held two or more, and the rest carry over:
+    # exactly horizon valid levels, so the state skips the checks
     new_levels = eta.levels + (shifted,) + state.levels[a:]
-    nxt = DState(i=state.i + 1, levels=new_levels, horizon=state.horizon)
-    lineage = tuple(nxt.levels[j][0] for j in range(a))
+    nxt = DState._trusted(state.i + 1, new_levels, state.horizon)
+    lineage = tuple([lvl[0] for lvl in new_levels[:a]])
     return nxt, a, lineage
 
 
@@ -361,7 +399,7 @@ def init_quasistationary(
         eta = sample_eta(
             model, T, root_type, rng, ordering=ordering, rejection_cap=rejection_cap
         )
-        return DState(i=1, levels=eta.levels, horizon=T)
+        return DState._trusted(1, eta.levels, T)
     if mode == "sizebiased_spine":
         if not isinstance(model, ModelSpec):
             raise SchemaError(

@@ -199,16 +199,19 @@ def _offspring_sampler(model: Model, ordering: str):
     if ordering == "lf_first":
         raise SchemaError("ordering 'lf_first' needs linear-fractional parameters")
     cum = [np.cumsum(model.probs[ell]).tolist() for ell in range(model.k)]
+    # one type-sorted offspring list per (parent type, support row); a draw
+    # copies its row's list and shuffles the copy
+    expanded = [
+        [[lp + 1 for lp, c in enumerate(z) for _ in range(c)] for z in counts.tolist()]
+        for counts in model.counts
+    ]
 
     def sample_spec(ell, rng):
         rows = cum[ell - 1]
         r = bisect.bisect_left(rows, rng.random())
         if r >= len(rows):
             r = len(rows) - 1
-        z = model.counts[ell - 1][r]
-        out = []
-        for lp in range(model.k):
-            out.extend([lp + 1] * int(z[lp]))
+        out = expanded[ell - 1][r][:]
         rng.shuffle(out)
         return out
 

@@ -16,6 +16,7 @@ breached row in an otherwise healthy run is expected roughly once per
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -118,6 +119,22 @@ class RunConfig:
                 )
         elif self.two_type is not None:
             raise SchemaError(f"task {self.task!r} needs a model spec or LF parameters")
+        if self.init_mode not in dchain.INIT_MODES:
+            raise SchemaError(
+                f"unknown init_mode {self.init_mode!r}; choose from {dchain.INIT_MODES}"
+            )
+        if self.init_mode == "sizebiased_spine" and self.model_spec is None:
+            raise SchemaError(
+                "init_mode 'sizebiased_spine' needs a finite-support model"
+            )
+        if self.init_mode == "sizebiased_spine" and self.task == "validate":
+            # the spine start fixes the stationary type mix at every level,
+            # so it misses the conditioned first-pair law that validate
+            # scores (worst z near -20 on a three-type model)
+            raise SchemaError(
+                "validate scores the conditioned first-pair law, which "
+                "init_mode 'sizebiased_spine' does not sample; use 'rejection'"
+            )
         if (
             self.task == "validate"
             and self.model_spec is not None
@@ -250,8 +267,31 @@ def _first_pair_tallies(model, T, count, rng, ordering, init_mode, root_type, n_
     return cells
 
 
+def _chain_observations(model, T, rng, ordering, init_mode, root_type):
+    """Endless censored-restart chain: yields (standing type, A or None).
+
+    Each item is one standing individual, its type and its coalescence
+    depth with the next one.  None marks a pair that coalesces beyond the
+    horizon: the chain cannot step from there and restarts on a new
+    state, drawn only when the next item is asked for.
+    """
+    state = None
+    while True:
+        if state is None:
+            state = dchain.init_quasistationary(
+                model, T, init_mode, rng, ordering=ordering, root_type=root_type
+            )
+        standing = state.levels[0][0]
+        if state.coalescence_level() is None:
+            state = None
+            yield standing, None
+            continue
+        state, a, _ = dchain.dchain_step(model, state, rng, ordering=ordering)
+        yield standing, a
+
+
 def _stationary_tallies(model, T, count, rng, ordering, root_type, b_types):
-    """Tail counts from one censored-restart chain segment sequence.
+    """Tail counts from `count` items of one censored-restart chain.
 
     Returns (a_values, a_censored, b_values, b_censored) where values are
     observed times in 1..T and censored counts observations known only to
@@ -262,29 +302,22 @@ def _stationary_tallies(model, T, count, rng, ordering, root_type, b_types):
     b_values = {ell: [] for ell in b_types}
     b_censored = {ell: 0 for ell in b_types}
     open_gap = {ell: None for ell in b_types}
-    state = None
-    for _ in range(count):
-        if state is None:
-            state = dchain.init_quasistationary(
-                model, T, "rejection", rng, ordering=ordering, root_type=root_type
-            )
-        standing = state.levels[0][0]
+    chain = _chain_observations(model, T, rng, ordering, "rejection", root_type)
+    for standing, a in itertools.islice(chain, count):
         for ell in b_types:
             if standing == ell:
                 if open_gap[ell] is not None:
                     b_values[ell].append(open_gap[ell])
                 open_gap[ell] = 0
-        if state.coalescence_level() is None:
-            # the next pair coalesces beyond the horizon; any open same-type
-            # gap is censored with it, and the chain restarts on a new tree
+        if a is None:
+            # the pair coalesces beyond the horizon; any open same-type gap
+            # is censored with it
             a_censored += 1
             for ell in b_types:
                 if open_gap[ell] is not None:
                     b_censored[ell] += 1
                     open_gap[ell] = None
-            state = None
             continue
-        state, a, _ = dchain.dchain_step(model, state, rng, ordering=ordering)
         a_values.append(a)
         for ell in b_types:
             if open_gap[ell] is not None and a > open_gap[ell]:
@@ -670,20 +703,17 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
     )
     out["estimates.csv"] = estimates_to_csv(rows)
 
-    chain_vals: list[int] = []
-    rng = stream(cfg.seed, "dchain", "chain-sample")
-    state = None
-    while len(chain_vals) < cfg.samples:
-        if state is None:
-            state = dchain.init_quasistationary(
-                cfg.model, cfg.horizon, cfg.init_mode, rng,
-                ordering=cfg.ordering, root_type=cfg.root_type,
-            )
-        if state.coalescence_level() is None:
-            state = None
-            continue
-        state, a, _ = dchain.dchain_step(cfg.model, state, rng, ordering=cfg.ordering)
-        chain_vals.append(a)
+    chain = _chain_observations(
+        cfg.model,
+        cfg.horizon,
+        stream(cfg.seed, "dchain", "chain-sample"),
+        cfg.ordering,
+        cfg.init_mode,
+        cfg.root_type,
+    )
+    # censored pairs carry no A; the chain stops at the last needed one
+    observed = (a for _, a in chain if a is not None)
+    chain_vals = list(itertools.islice(observed, cfg.samples))
 
     forest_vals: list[int] = []
     rng = stream(cfg.seed, "dchain", "forest-sample")

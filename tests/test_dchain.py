@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,11 @@ from scipy import stats
 
 from mtcpp.analytics import joint_A1_law
 from mtcpp.dchain import (
+    DEFAULT_REJECTION_CAP,
     DState,
+    _kept_offspring,
+    _survival_rows,
+    _survival_seq,
     dchain_step,
     extract_dstates,
     init_quasistationary,
@@ -21,6 +26,7 @@ from mtcpp.errors import (
     SchemaError,
 )
 from mtcpp.forest import (
+    _offspring_sampler,
     ancestral_subtree,
     coalescence_times,
     simulate_standing,
@@ -226,11 +232,125 @@ def test_state_json_round_trip():
         DState.from_json("{nope")
 
 
+# -- trusted transitions against the checked reference -----------------------
+
+
+def _reference_sample_eta(model, n, ell, rng, ordering):
+    """The spine sampler as it was before the survival rows were cached:
+    the rows are converted on every call."""
+    p = _survival_seq(model, n)
+    sampler = _offspring_sampler(model, ordering)
+    p_rows = [row.tolist() for row in p]
+    levels = [None] * n
+    parent_type = ell
+    for level in range(n, 0, -1):
+        kept = _kept_offspring(
+            sampler, p_rows[level - 1], parent_type, rng, DEFAULT_REJECTION_CAP
+        )
+        levels[level - 1] = tuple(kept)
+        parent_type = kept[0]
+    return tuple(levels)
+
+
+def _reference_dchain_step(model, state, rng, ordering):
+    """One transition through the checked constructor."""
+    a = state.coalescence_level()
+    shifted = state.levels[a - 1][1:]
+    eta = _reference_sample_eta(model, a - 1, shifted[0], rng, ordering)
+    nxt = DState(
+        i=state.i + 1, levels=eta + (shifted,) + state.levels[a:], horizon=state.horizon
+    )
+    return nxt, a, tuple(nxt.levels[j][0] for j in range(a))
+
+
+def _censored_restart_run(model, T, rng, ordering, steps, init, step):
+    """(state, A, lineage) per transition, restarting at censored states."""
+    out = []
+    state = None
+    while len(out) < steps:
+        if state is None:
+            state = init(rng)
+        if state.coalescence_level() is None:
+            state = None
+            continue
+        state, a, lineage = step(state, rng)
+        out.append((state, a, lineage))
+    return out
+
+
+@pytest.mark.parametrize("name,T,ordering", [("e1", 8, "uniform"), ("lf1", 10, "lf_first")])
+def test_trusted_step_matches_checked_reference(name, T, ordering, request):
+    model = request.getfixturevalue(name)
+    steps = 2_500
+    rng_new = stream(101, "trusted", name)
+    rng_ref = stream(101, "trusted", name)
+    new = _censored_restart_run(
+        model, T, rng_new, ordering, steps,
+        lambda rng: init_quasistationary(model, T, "rejection", rng, ordering=ordering),
+        lambda state, rng: dchain_step(model, state, rng, ordering=ordering),
+    )
+    ref = _censored_restart_run(
+        model, T, rng_ref, ordering, steps,
+        lambda rng: DState(
+            i=1, levels=_reference_sample_eta(model, T, 1, rng, ordering), horizon=T
+        ),
+        lambda state, rng: _reference_dchain_step(model, state, rng, ordering),
+    )
+    assert rng_new.getstate() == rng_ref.getstate()
+    assert len({a for _, a, _ in new}) > 1
+    for (s, a, lin), (s_ref, a_ref, lin_ref) in zip(new, ref):
+        assert (s.i, s.levels, a, lin) == (s_ref.i, s_ref.levels, a_ref, lin_ref)
+        # every trusted state passes the checks it skipped
+        checked = DState(i=s.i, levels=s.levels, horizon=s.horizon)
+        back = DState.from_json(s.to_json())
+        assert (back.i, back.levels, back.horizon) == (s.i, s.levels, T)
+        assert checked.to_json() == s.to_json()
+
+
+def test_survival_rows_grow_with_depth(e1, lf1):
+    def fresh(model):
+        # a new instance starts with empty caches
+        return type(model).from_json(model.to_json())
+
+    for model in (e1, lf1):
+        grown = fresh(model)
+        rng = stream(103, "rows")
+        shallow = sample_eta(grown, 2, 1, rng)
+        assert len(_survival_rows(grown, 2)) == 3
+        deep = sample_eta(grown, 9, 1, rng)
+        assert len(_survival_rows(grown, 0)) == 10
+        rng_fresh = stream(103, "rows")
+        assert shallow.levels == sample_eta(fresh(model), 2, 1, rng_fresh).levels
+        assert deep.levels == sample_eta(fresh(model), 9, 1, rng_fresh).levels
+        assert rng.getstate() == rng_fresh.getstate()
+        want = [row.tolist() for row in _survival_seq(fresh(model), 9)]
+        assert _survival_rows(grown, 9) == want
+
+
 def test_state_validation():
     with pytest.raises(SchemaError, match="empty"):
         DState(i=1, levels=((1,), ()), horizon=2)
     with pytest.raises(SchemaError, match="levels"):
         DState(i=1, levels=((1,),), horizon=2)
+
+
+def test_state_boundary_refusals():
+    # the checks every public way in keeps, though dchain_step skips them
+    bad = [
+        (((1,),), 0, "horizon"),
+        (((1,), (0, 2)), 2, "type index"),
+        (((1,), (2,), (1,)), 2, "levels"),
+    ]
+    for levels, horizon, message in bad:
+        with pytest.raises(SchemaError, match=message):
+            DState(i=1, levels=levels, horizon=horizon)
+        text = json.dumps({"i": 1, "T": horizon, "levels": [list(l) for l in levels]})
+        with pytest.raises(SchemaError, match=message):
+            DState.from_json(text)
+    with pytest.raises(SchemaError, match="empty"):
+        DState.from_json('{"i": 1, "T": 2, "levels": [[1], []]}')
+    with pytest.raises(SchemaError, match="'levels'"):
+        DState.from_json('{"i": 1, "T": 2}')
 
 
 # -- chain vs forest (central equivalence) ----------------------------------

@@ -1,9 +1,12 @@
+import bisect
+
 import numpy as np
 import pytest
 
 from mtcpp.errors import GuardError, SchemaError
 from mtcpp.forest import (
     CoalescentRecord,
+    _offspring_sampler,
     PlanarTree,
     ancestor_index,
     ancestral_subtree,
@@ -341,6 +344,68 @@ def test_generation_means_match_mean_matrix(e1):
         se = np.sqrt(np.maximum(var, 1e-12) / reps)
         expect = np.linalg.matrix_power(M, n)[0]
         assert np.all(np.abs(mean - expect) <= 3 * se)
+
+
+# -- offspring sampler ------------------------------------------------------
+
+
+S3 = ModelSpec.from_pmf(
+    {
+        1: {(0, 0, 0): 0.45, (1, 1, 0): 0.3, (0, 0, 1): 0.25},
+        2: {(0, 0, 0): 0.5, (1, 0, 0): 0.3, (0, 1, 1): 0.2},
+        3: {(0, 0, 0): 0.5, (0, 1, 0): 0.25, (1, 0, 1): 0.25},
+    }
+)
+
+
+def reference_spec_sampler(model: ModelSpec):
+    """The finite-support sampler as it was: the drawn count row is
+    expanded into a type list on every draw."""
+    cum = [np.cumsum(model.probs[ell]).tolist() for ell in range(model.k)]
+
+    def sample(ell, rng):
+        rows = cum[ell - 1]
+        r = bisect.bisect_left(rows, rng.random())
+        if r >= len(rows):
+            r = len(rows) - 1
+        z = model.counts[ell - 1][r]
+        out = []
+        for lp in range(model.k):
+            out.extend([lp + 1] * int(z[lp]))
+        rng.shuffle(out)
+        return out
+
+    return sample
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["e1", "s3", "wide"])
+def test_spec_sampler_matches_reference(name, seed, e1):
+    # "wide" has rows of up to five children, so shuffles really permute
+    model = {
+        "e1": e1,
+        "s3": S3,
+        "wide": ModelSpec.from_pmf(
+            {
+                1: {(0, 0): 0.4, (3, 2): 0.3, (1, 1): 0.3},
+                2: {(0, 0): 0.6, (0, 4): 0.4},
+            },
+            allow_singular=True,
+        ),
+    }[name]
+    sample = _offspring_sampler(model, "uniform")
+    reference = reference_spec_sampler(model)
+    rng, rng_ref = stream(seed, "sampler", name), stream(seed, "sampler", name)
+    draws = []
+    for j in range(3_000):
+        ell = j % model.k + 1
+        out = sample(ell, rng)
+        assert out == reference(ell, rng_ref)
+        draws.append(out)
+    assert rng.getstate() == rng_ref.getstate()
+    # each draw is a fresh list: changing one leaves later draws intact
+    draws[-1].append(99)
+    assert sample(1, rng) == reference(1, rng_ref)
 
 
 # -- simulate_standing ------------------------------------------------------

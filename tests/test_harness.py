@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mtcpp import dchain
 from mtcpp.analytics import A1_tail
 from mtcpp.cli import build_config, main
 from mtcpp.errors import SchemaError, ValidationFailure
@@ -14,12 +16,15 @@ from mtcpp.harness import (
     EstimateRow,
     KSResult,
     RunConfig,
+    _chain_observations,
+    _stationary_tallies,
     estimates_to_csv,
     ks_compare,
     mc_estimate,
     run,
 )
 from mtcpp.lf import LFParams, lf_coalescence_law, lf_sametype_law
+from mtcpp.rng import stream
 
 
 def _dir_digest(path):
@@ -73,6 +78,64 @@ def test_config_refuses_first_pair_rows_past_horizon(e1, lf1):
     RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, horizon=4, n_max=3)
     RunConfig(task="laws", seed=1, out_dir="x", model_spec=e1, horizon=3, n_max=3)
     RunConfig(task="validate", seed=1, out_dir="x", lf_params=lf1, horizon=3, n_max=3)
+
+
+def _refused_by_cli(tmp_path, capsys, model_flag, model, argv, message):
+    """main exits 1 with `message` on stderr and writes no output file."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(model.to_json())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [model_flag, str(model_path), "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: ") and message in err
+    assert not out.exists()
+
+
+def test_config_refuses_unknown_init_mode(tmp_path, capsys, e1):
+    with pytest.raises(SchemaError, match="unknown init_mode 'spine'"):
+        RunConfig(task="dchain", seed=1, out_dir="x", model_spec=e1, init_mode="spine")
+    # argparse limits --init-mode, so the config file is the way in
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"init_mode": "spine"}))
+    _refused_by_cli(
+        tmp_path, capsys, "--model-spec", e1,
+        ["dchain", "--config", str(path)], "unknown init_mode 'spine'",
+    )
+
+
+def test_config_refuses_sizebiased_spine_on_lf(tmp_path, capsys, lf1):
+    message = "init_mode 'sizebiased_spine' needs a finite-support model"
+    for task in ("dchain", "simulate"):
+        with pytest.raises(SchemaError, match=message):
+            RunConfig(
+                task=task, seed=1, out_dir="x", lf_params=lf1,
+                init_mode="sizebiased_spine",
+            )
+    _refused_by_cli(
+        tmp_path, capsys, "--model-lf", lf1,
+        ["dchain", "--init-mode", "sizebiased_spine"], message,
+    )
+
+
+def test_config_refuses_validate_with_sizebiased_spine(tmp_path, capsys, e1):
+    # the spine start samples a different law from the one validate scores
+    # (worst z near -20 on a three-type model), so the run cannot pass
+    message = "init_mode 'sizebiased_spine' does not sample"
+    with pytest.raises(SchemaError, match=message):
+        RunConfig(
+            task="validate", seed=1, out_dir="x", model_spec=e1,
+            init_mode="sizebiased_spine",
+        )
+    _refused_by_cli(
+        tmp_path, capsys, "--model-spec", e1,
+        ["validate", "--init-mode", "sizebiased_spine"], message,
+    )
+    # the mode stays available to the chain task on a finite-support model
+    RunConfig(
+        task="dchain", seed=1, out_dir="x", model_spec=e1, init_mode="sizebiased_spine"
+    )
 
 
 def test_config_two_type_pairing(lf1):
@@ -295,6 +358,72 @@ def test_compare_two_type_task(tmp_path):
         n, pA, b1s, b1a, b2s, b2a = line.split(",")
         assert float(b1a) >= float(b1s) - 1e-12
         assert float(b2a) <= float(b2s) + 1e-12
+
+
+def _reference_chain_a_values(model, T, count, rng, init_mode):
+    """The dchain task's own chain loop, as it was before it shared the
+    censored-restart generator: `count` uncensored A values."""
+    vals = []
+    state = None
+    while len(vals) < count:
+        if state is None:
+            state = dchain.init_quasistationary(model, T, init_mode, rng)
+        if state.coalescence_level() is None:
+            state = None
+            continue
+        state, a, _ = dchain.dchain_step(model, state, rng)
+        vals.append(a)
+    return vals
+
+
+def _reference_stationary_tallies(model, T, count, rng, b_types):
+    """The stationary tally loop as it was, with its own chain loop."""
+    a_values, a_censored = [], 0
+    b_values = {ell: [] for ell in b_types}
+    b_censored = {ell: 0 for ell in b_types}
+    open_gap = {ell: None for ell in b_types}
+    state = None
+    for _ in range(count):
+        if state is None:
+            state = dchain.init_quasistationary(model, T, "rejection", rng)
+        standing = state.levels[0][0]
+        for ell in b_types:
+            if standing == ell:
+                if open_gap[ell] is not None:
+                    b_values[ell].append(open_gap[ell])
+                open_gap[ell] = 0
+        if state.coalescence_level() is None:
+            a_censored += 1
+            for ell in b_types:
+                if open_gap[ell] is not None:
+                    b_censored[ell] += 1
+                    open_gap[ell] = None
+            state = None
+            continue
+        state, a, _ = dchain.dchain_step(model, state, rng)
+        a_values.append(a)
+        for ell in b_types:
+            if open_gap[ell] is not None and a > open_gap[ell]:
+                open_gap[ell] = a
+    return a_values, a_censored, b_values, b_censored
+
+
+@pytest.mark.parametrize("init_mode", ["rejection", "sizebiased_spine"])
+def test_chain_observations_keep_the_draw_order(e1, init_mode):
+    # a short horizon censors often, so restarts land everywhere in the run
+    T, count = 4, 600
+    rng, rng_ref = stream(7, "chain-order"), stream(7, "chain-order")
+    chain = _chain_observations(e1, T, rng, None, init_mode, 1)
+    got = list(itertools.islice((a for _, a in chain if a is not None), count))
+    assert got == _reference_chain_a_values(e1, T, count, rng_ref, init_mode)
+    assert rng.getstate() == rng_ref.getstate()
+
+    rng, rng_ref = stream(8, "tally-order"), stream(8, "tally-order")
+    got = _stationary_tallies(e1, T, count, rng, None, 1, [1, 2])
+    want = _reference_stationary_tallies(e1, T, count, rng_ref, [1, 2])
+    assert want[1] > 20 and all(want[3].values())
+    assert got == want
+    assert rng.getstate() == rng_ref.getstate()
 
 
 def test_dchain_task_chain_matches_forest(e1, tmp_path):
