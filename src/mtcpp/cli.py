@@ -17,9 +17,9 @@ import json
 import os
 import sys
 
-from .dchain import INIT_MODES
 from .errors import SchemaError
-from .harness import RunConfig, run
+from .forest import ORDERINGS
+from .harness import TASKS, RunConfig, run
 from .lf import LFParams
 from .model import ModelSpec
 
@@ -28,7 +28,6 @@ _CONFIG_KEYS = {
     "samples",
     "horizon",
     "ordering",
-    "init_mode",
     "root_type",
     "n_max",
     "task",
@@ -43,10 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mtcpp",
         description="Coalescent structure of multi-type branching populations.",
     )
-    parser.add_argument(
-        "task",
-        choices=("simulate", "laws", "validate", "compare-two-type", "dchain"),
-    )
+    parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", metavar="PATH", help="JSON settings file")
     model = parser.add_mutually_exclusive_group()
     model.add_argument(
@@ -59,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, help="Monte Carlo sample count")
     parser.add_argument("--horizon", type=int, metavar="T", help="tree depth")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--ordering", choices=("uniform", "lf_first"))
-    parser.add_argument("--init-mode", choices=INIT_MODES)
+    parser.add_argument("--ordering", choices=ORDERINGS)
     parser.add_argument("--root-type", type=int)
     parser.add_argument("--n-max", type=int, help="deepest reported generation")
     return parser
@@ -75,6 +70,11 @@ def _load_config_file(path: str) -> dict:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("config file must hold a JSON object")
+    if "init_mode" in doc:
+        raise SchemaError(
+            "config key 'init_mode' was removed: the chain has one start, the "
+            "leftmost standing individual of a depth-T tree conditioned on survival"
+        )
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
@@ -127,9 +127,6 @@ def build_config(argv: list[str]) -> RunConfig:
         "horizon": args.horizon if args.horizon is not None else doc.get("horizon"),
         "out_dir": args.out if args.out is not None else doc.get("out"),
         "ordering": args.ordering if args.ordering is not None else doc.get("ordering"),
-        "init_mode": (
-            args.init_mode if args.init_mode is not None else doc.get("init_mode")
-        ),
         "root_type": (
             args.root_type if args.root_type is not None else doc.get("root_type")
         ),

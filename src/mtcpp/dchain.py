@@ -28,9 +28,9 @@ from .errors import (
     InconsistentStateError,
     SchemaError,
 )
-from .forest import PlanarTree, _offspring_sampler
-from .lf import LFParams, lf_pgf
-from .model import ModelSpec, perron, mean_matrix, pgf_eval_all
+from .forest import PlanarTree, _offspring_sampler, _resolve_ordering
+from .lf import lf_pgf
+from .model import ModelSpec, pgf_eval_all
 from . import forest as _forest
 
 __all__ = [
@@ -41,15 +41,11 @@ __all__ = [
     "sample_eta",
     "dchain_step",
     "init_quasistationary",
-    "INIT_MODES",
     "extract_dstates",
     "reconstruct_tree",
 ]
 
 DEFAULT_REJECTION_CAP = 10**6
-
-#: Chain start modes accepted by `init_quasistationary`.
-INIT_MODES = ("rejection", "sizebiased_spine")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +85,11 @@ class DState:
 
     States are checked where they enter: the constructor and `from_json`
     refuse a horizon below 1, a level count other than the horizon, an
-    empty level and a type index below 1.  `dchain_step` and the
-    rejection start of `init_quasistationary` build their states through
-    the unchecked `_trusted`, because their levels are valid by
-    construction (every level is a nonempty list of sampled types in
-    1..k, exactly `horizon` of them).
+    empty level and a type index below 1.  `dchain_step` and
+    `init_quasistationary` build their states through the unchecked
+    `_trusted`, because their levels are valid by construction (every
+    level is a nonempty list of sampled types in 1..k, exactly `horizon`
+    of them).
     """
 
     i: int
@@ -151,48 +147,34 @@ class DState:
         )
 
 
-_SURVIVAL_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SURVIVAL_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _survival_seq(model, n: int) -> list[np.ndarray]:
-    """[p_0, ..., p_n]: per-type survival probabilities by generation.
+def _survival_rows(model, n: int) -> list[list[float]]:
+    """[p_0, ..., p_n, ...]: per-type survival probabilities by generation.
 
-    Memoized per model instance; the sequence sits in every zeta draw's
-    inner loop and is a pure function of the offspring law.
+    Python float rows, at least n + 1 of them, memoized per model instance
+    and extended only when a deeper n is asked for; the rows sit in every
+    zeta and spine draw's inner loop and are a pure function of the
+    offspring law.  An extension is built on a copy and stored whole, so
+    a concurrent reader never sees a half-grown list.
     """
+    rows = _SURVIVAL_ROWS.get(model)
+    if rows is not None and len(rows) > n:
+        return rows
+    rows = list(rows) if rows is not None else [[1.0] * model.k]
     k = model.k
-    out = _SURVIVAL_CACHE.get(model)
-    if out is None:
-        out = [np.ones(k)]
-        _SURVIVAL_CACHE[model] = out
-    while len(out) <= n:
-        s = 1.0 - out[-1]
+    while len(rows) <= n:
+        s = 1.0 - np.array(rows[-1])
         if isinstance(model, ModelSpec):
             s = np.clip(pgf_eval_all(model, s), 0.0, 1.0)
         else:
             s = np.clip(
                 np.array([lf_pgf(model, ell, s) for ell in range(1, k + 1)]), 0.0, 1.0
             )
-        out.append(1.0 - s)
-    return out[: n + 1]
-
-
-def _survival_rows(model, n: int) -> list[list[float]]:
-    """`_survival_seq` as Python float rows, at least n + 1 of them.
-
-    Cached per model like the arrays and rebuilt only when a deeper n is
-    asked for; the spine sampler reads one row per level.
-    """
-    rows = _SURVIVAL_ROWS.get(model)
-    if rows is None or len(rows) <= n:
-        rows = [row.tolist() for row in _survival_seq(model, n)]
-        _SURVIVAL_ROWS[model] = rows
+        rows.append((1.0 - s).tolist())
+    _SURVIVAL_ROWS[model] = rows
     return rows
-
-
-def _default_ordering(model) -> str:
-    return "lf_first" if isinstance(model, LFParams) else "uniform"
 
 
 def _kept_offspring(sampler, p_prev, ell: int, rng, cap: int) -> list[int]:
@@ -232,13 +214,13 @@ def sample_zeta(
     k = model.k
     if not 1 <= ell <= k:
         raise SchemaError(f"type {ell} outside 1..{k}")
-    p = _survival_seq(model, n)
-    if p[n][ell - 1] <= 0.0:
+    p_rows = _survival_rows(model, n)
+    if p_rows[n][ell - 1] <= 0.0:
         raise ImpossibleConditioningError(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
-    sampler = _offspring_sampler(model, ordering or _default_ordering(model))
-    return _zeta_with_p(sampler, p[n - 1].tolist(), ell, rng, k, rejection_cap)
+    sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
+    return _zeta_with_p(sampler, p_rows[n - 1], ell, rng, k, rejection_cap)
 
 
 def sample_eta(
@@ -266,7 +248,7 @@ def sample_eta(
         raise ImpossibleConditioningError(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
-    sampler = _offspring_sampler(model, ordering or _default_ordering(model))
+    sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
     levels: list[tuple[int, ...] | None] = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):
@@ -309,104 +291,30 @@ def dchain_step(
     return nxt, a, lineage
 
 
-def _sizebiased_tables(spec: ModelSpec):
-    """Per-type size-biased offspring pmf using the right Perron eigenvector.
-
-    Row weights P(z) (z . v) / (rho v_ell) sum to one because M v = rho v.
-    """
-    info = perron(mean_matrix(spec))
-    if info.rho > 1.0 + 1e-9:
-        raise SchemaError(
-            "size-biased spine initialization requires rho <= 1 "
-            f"(got rho={info.rho!r})"
-        )
-    v = info.v
-    tables = []
-    for ell in range(spec.k):
-        zv = spec.counts[ell] @ v
-        w = spec.probs[ell] * zv / (info.rho * v[ell])
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise InconsistentStateError(
-                f"size-biased weights for parent type {ell + 1} sum to {total!r}"
-            )
-        tables.append(np.cumsum(w / total))
-    return info, tables
-
-
-def _init_sizebiased(spec: ModelSpec, T: int, rng) -> DState:
-    info, tables = _sizebiased_tables(spec)
-    v = info.v
-    pi = info.u * v
-    pi = pi / pi.sum()
-    p = _survival_seq(spec, T)
-    # spine type at the deepest generation from the stationary spine law
-    r = rng.random()
-    spine = int(np.searchsorted(np.cumsum(pi), r)) + 1
-    spine = min(spine, spec.k)
-    levels: list[tuple[int, ...]] = []
-    for n in range(T, 0, -1):
-        row = int(np.searchsorted(tables[spine - 1], rng.random()))
-        row = min(row, len(tables[spine - 1]) - 1)
-        z = spec.counts[spine - 1][row]
-        expanded = []
-        for lp in range(spec.k):
-            expanded.extend([lp + 1] * int(z[lp]))
-        rng.shuffle(expanded)
-        # the spine child is v-weighted among the offspring slots
-        weights = np.array([v[t - 1] for t in expanded])
-        cum = np.cumsum(weights / weights.sum())
-        pos = int(np.searchsorted(cum, rng.random()))
-        pos = min(pos, len(expanded) - 1)
-        child = expanded.pop(pos)
-        # the spine representative survives by construction and is listed
-        # first; every other child is kept iff it has standing progeny
-        level = [child]
-        for t in expanded:
-            if rng.random() < p[n - 1][t - 1]:
-                level.append(t)
-        levels.append(tuple(level))
-        spine = child
-    levels.reverse()
-    return DState(i=1, levels=tuple(levels), horizon=T)
-
-
 def init_quasistationary(
     model,
     T: int,
-    mode: str,
     rng,
     ordering: str | None = None,
     root_type: int = 1,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> DState:
-    """Approximate stationary starting state at horizon T.
+    """Chain start at horizon T: the state of the leftmost standing
+    individual of a depth-T tree with a type-`root_type` root, conditioned
+    on survival.
 
-    mode='rejection' draws the state of the leftmost standing individual
-    of a depth-T tree conditioned on survival, which coincides in law
-    with the spine sample below a depth-T ancestor of the root type and
-    is generated that way (no full tree is built, so supercritical
-    models stay tractable).  mode='sizebiased_spine' builds the spine
-    top-down from the size-biased offspring law, spine child chosen
-    v-proportionally, and thins right-of-spine offspring by survival;
-    it requires rho <= 1 and an explicit finite-support model.  Both
-    modes are finite-horizon approximations of the infinitely-old
-    population.
+    That state coincides in law with the spine sample below a depth-T
+    ancestor of the root type and is generated that way (no full tree is
+    built, so supercritical models stay tractable).  It is the planar
+    embedding the coalescent point process is read from, at a finite
+    horizon rather than in the infinitely old population.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
-    if mode == "rejection":
-        eta = sample_eta(
-            model, T, root_type, rng, ordering=ordering, rejection_cap=rejection_cap
-        )
-        return DState._trusted(1, eta.levels, T)
-    if mode == "sizebiased_spine":
-        if not isinstance(model, ModelSpec):
-            raise SchemaError(
-                "size-biased spine initialization needs a finite-support model"
-            )
-        return _init_sizebiased(model, T, rng)
-    raise SchemaError(f"unknown initialization mode {mode!r}")
+    eta = sample_eta(
+        model, T, root_type, rng, ordering=ordering, rejection_cap=rejection_cap
+    )
+    return DState._trusted(1, eta.levels, T)
 
 
 def extract_dstates(tree: PlanarTree) -> list[DState]:

@@ -45,6 +45,10 @@ DEFAULT_NODE_CAP = 10**7
 #: Refuse to retry a conditioned simulation past this many attempts.
 DEFAULT_REJECTION_CAP = 10**6
 
+#: Planar offspring orders: shuffled, or the linear-fractional law's own
+#: order (first offspring from the H row, then the geometric tail).
+ORDERINGS = ("uniform", "lf_first")
+
 Model = Union[ModelSpec, LFParams]
 
 
@@ -180,9 +184,15 @@ class CoalescentRecord:
         return self.a is None
 
 
+def _resolve_ordering(model: Model, ordering: str | None) -> str:
+    """`ordering`, or the model's default when none is given: 'lf_first'
+    for linear-fractional parameters, 'uniform' for finite-support specs."""
+    return ordering or ("lf_first" if isinstance(model, LFParams) else "uniform")
+
+
 def _offspring_sampler(model: Model, ordering: str):
     """Return a callable (type, rng) -> ordered 1-based offspring type list."""
-    if ordering not in ("uniform", "lf_first"):
+    if ordering not in ORDERINGS:
         raise SchemaError(f"unknown ordering {ordering!r}")
     if isinstance(model, LFParams):
         if ordering == "lf_first":

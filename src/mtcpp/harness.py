@@ -87,7 +87,6 @@ class RunConfig:
     lf_params: LFParams | None = None
     two_type: tuple[float, float, float, float] | None = None
     ordering: str | None = None
-    init_mode: str = "rejection"
     root_type: int = 1
     n_max: int = 5
     threads: int = 1
@@ -119,22 +118,15 @@ class RunConfig:
                 )
         elif self.two_type is not None:
             raise SchemaError(f"task {self.task!r} needs a model spec or LF parameters")
-        if self.init_mode not in dchain.INIT_MODES:
+        # argparse limits --ordering; a config file does not
+        if self.ordering is not None and self.ordering not in forest.ORDERINGS:
             raise SchemaError(
-                f"unknown init_mode {self.init_mode!r}; choose from {dchain.INIT_MODES}"
+                f"unknown ordering {self.ordering!r}; choose from {forest.ORDERINGS}"
             )
-        if self.init_mode == "sizebiased_spine" and self.model_spec is None:
-            raise SchemaError(
-                "init_mode 'sizebiased_spine' needs a finite-support model"
-            )
-        if self.init_mode == "sizebiased_spine" and self.task == "validate":
-            # the spine start fixes the stationary type mix at every level,
-            # so it misses the conditioned first-pair law that validate
-            # scores (worst z near -20 on a three-type model)
-            raise SchemaError(
-                "validate scores the conditioned first-pair law, which "
-                "init_mode 'sizebiased_spine' does not sample; use 'rejection'"
-            )
+        if self.ordering == "lf_first" and self.model_spec is not None:
+            raise SchemaError("ordering 'lf_first' needs linear-fractional parameters")
+        if self.model is not None and not 1 <= self.root_type <= self.model.k:
+            raise SchemaError(f"root_type {self.root_type} outside 1..{self.model.k}")
         if (
             self.task == "validate"
             and self.model_spec is not None
@@ -240,8 +232,10 @@ def _run_replicates(worker, seed, statistic, samples, threads):
     return [worker(r, shares[r], rngs[r]) for r in range(len(shares))]
 
 
-def _first_pair_tallies(model, T, count, rng, ordering, init_mode, root_type, n_max):
-    """Per (n, top-type) conditioning cells from independent initial states.
+def _first_pair_tallies(model, T, count, rng, ordering, root_type, n_max):
+    """Per (n, top-type) conditioning cells from `count` independent chain
+    starts (`dchain.init_quasistationary`), each the state of the leftmost
+    standing individual of a depth-T tree conditioned on survival.
 
     cells[(n, t)] = [at_risk, hits]; a state is at risk for (n, t) when its
     depth-n ancestor has type t, and a hit when additionally no coalescence
@@ -251,7 +245,7 @@ def _first_pair_tallies(model, T, count, rng, ordering, init_mode, root_type, n_
     cells = {(n, t): [0, 0] for n in range(n_max + 1) for t in range(1, k + 1)}
     for _ in range(count):
         state = dchain.init_quasistationary(
-            model, T, init_mode, rng, ordering=ordering, root_type=root_type
+            model, T, rng, ordering=ordering, root_type=root_type
         )
         singleton_until = 0
         for j in range(T):
@@ -267,7 +261,7 @@ def _first_pair_tallies(model, T, count, rng, ordering, init_mode, root_type, n_
     return cells
 
 
-def _chain_observations(model, T, rng, ordering, init_mode, root_type):
+def _chain_observations(model, T, rng, ordering, root_type):
     """Endless censored-restart chain: yields (standing type, A or None).
 
     Each item is one standing individual, its type and its coalescence
@@ -279,7 +273,7 @@ def _chain_observations(model, T, rng, ordering, init_mode, root_type):
     while True:
         if state is None:
             state = dchain.init_quasistationary(
-                model, T, init_mode, rng, ordering=ordering, root_type=root_type
+                model, T, rng, ordering=ordering, root_type=root_type
             )
         standing = state.levels[0][0]
         if state.coalescence_level() is None:
@@ -302,7 +296,7 @@ def _stationary_tallies(model, T, count, rng, ordering, root_type, b_types):
     b_values = {ell: [] for ell in b_types}
     b_censored = {ell: 0 for ell in b_types}
     open_gap = {ell: None for ell in b_types}
-    chain = _chain_observations(model, T, rng, ordering, "rejection", root_type)
+    chain = _chain_observations(model, T, rng, ordering, root_type)
     for standing, a in itertools.islice(chain, count):
         for ell in b_types:
             if standing == ell:
@@ -356,7 +350,6 @@ def mc_estimate(
     seed: int,
     *,
     ordering: str | None = None,
-    init_mode: str = "rejection",
     root_type: int = 1,
     n_max: int = 5,
     threads: int = 1,
@@ -398,7 +391,7 @@ def mc_estimate(
             )
         parts = _run_replicates(
             lambda r, count, rng: _first_pair_tallies(
-                model, T, count, rng, ordering, init_mode, root_type, n_max
+                model, T, count, rng, ordering, root_type, n_max
             ),
             seed,
             statistic,
@@ -604,7 +597,6 @@ def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
                 cfg.samples,
                 cfg.seed,
                 ordering=cfg.ordering,
-                init_mode=cfg.init_mode,
                 root_type=cfg.root_type,
                 n_max=cfg.n_max,
                 threads=cfg.threads,
@@ -645,7 +637,7 @@ def _task_simulate(cfg: RunConfig, out: dict) -> list[dict]:
         cfg.samples,
         rng,
         mode=mode,
-        ordering=cfg.ordering or ("lf_first" if cfg.lf_params is not None else "uniform"),
+        ordering=forest._resolve_ordering(cfg.model, cfg.ordering),
         root_type=cfg.root_type,
     )
     records = forest.coalescence_times(tree)
@@ -708,7 +700,6 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
         cfg.horizon,
         stream(cfg.seed, "dchain", "chain-sample"),
         cfg.ordering,
-        cfg.init_mode,
         cfg.root_type,
     )
     # censored pairs carry no A; the chain stops at the last needed one
@@ -717,7 +708,7 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
 
     forest_vals: list[int] = []
     rng = stream(cfg.seed, "dchain", "forest-sample")
-    ordering = cfg.ordering or ("lf_first" if cfg.lf_params is not None else "uniform")
+    ordering = forest._resolve_ordering(cfg.model, cfg.ordering)
     while len(forest_vals) < cfg.samples:
         tree = forest.simulate_standing(
             cfg.model, cfg.horizon, 1, rng, ordering=ordering, root_type=cfg.root_type

@@ -142,7 +142,7 @@ def _stationary_walk(params: LFParams, steps: int, horizon: int, tag: str) -> di
     segments: list[list[int]] = [[]]
 
     def fresh():
-        return init_quasistationary(params, horizon, "rejection", rng)
+        return init_quasistationary(params, horizon, rng)
 
     state = fresh()
     open_gap = {state.levels[0][0]: 0}
@@ -450,7 +450,7 @@ def test_c05_first_pair_laws_match_enumeration():
 def _chain_first_pair_sample(model, horizon: int, samples: int, rng) -> list[int]:
     out = []
     while len(out) < samples:
-        state = init_quasistationary(model, horizon, "rejection", rng)
+        state = init_quasistationary(model, horizon, rng)
         a = state.coalescence_level()
         if a is not None:
             out.append(a)

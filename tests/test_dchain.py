@@ -11,7 +11,6 @@ from mtcpp.dchain import (
     DState,
     _kept_offspring,
     _survival_rows,
-    _survival_seq,
     dchain_step,
     extract_dstates,
     init_quasistationary,
@@ -31,8 +30,8 @@ from mtcpp.forest import (
     coalescence_times,
     simulate_standing,
 )
-from mtcpp.lf import lf_coalescence_law
-from mtcpp.model import ModelSpec, mean_matrix, survival_vector
+from mtcpp.lf import lf_coalescence_law, lf_pgf
+from mtcpp.model import ModelSpec, mean_matrix, pgf_eval_all, survival_vector
 from mtcpp.rng import stream
 
 
@@ -209,11 +208,11 @@ def test_step_censored(e1):
 
 def test_step_preserves_upper_levels(e1):
     rng = stream(31, "steps")
-    state = init_quasistationary(e1, 8, "rejection", rng)
+    state = init_quasistationary(e1, 8, rng)
     for _ in range(500):
         a = state.coalescence_level()
         if a is None:
-            state = init_quasistationary(e1, 8, "rejection", rng)
+            state = init_quasistationary(e1, 8, rng)
             continue
         nxt, a_ret, lineage = dchain_step(e1, state, rng)
         assert a_ret == a
@@ -235,12 +234,24 @@ def test_state_json_round_trip():
 # -- trusted transitions against the checked reference -----------------------
 
 
+def _reference_survival_rows(model, n):
+    """Survival rows p_0..p_n computed afresh, without the per-model cache."""
+    p = [np.ones(model.k)]
+    for _ in range(n):
+        s = 1.0 - p[-1]
+        if isinstance(model, ModelSpec):
+            f = pgf_eval_all(model, s)
+        else:
+            f = np.array([lf_pgf(model, ell, s) for ell in range(1, model.k + 1)])
+        p.append(1.0 - np.clip(f, 0.0, 1.0))
+    return [row.tolist() for row in p]
+
+
 def _reference_sample_eta(model, n, ell, rng, ordering):
     """The spine sampler as it was before the survival rows were cached:
-    the rows are converted on every call."""
-    p = _survival_seq(model, n)
+    the rows are computed on every call."""
     sampler = _offspring_sampler(model, ordering)
-    p_rows = [row.tolist() for row in p]
+    p_rows = _reference_survival_rows(model, n)
     levels = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):
@@ -286,7 +297,7 @@ def test_trusted_step_matches_checked_reference(name, T, ordering, request):
     rng_ref = stream(101, "trusted", name)
     new = _censored_restart_run(
         model, T, rng_new, ordering, steps,
-        lambda rng: init_quasistationary(model, T, "rejection", rng, ordering=ordering),
+        lambda rng: init_quasistationary(model, T, rng, ordering=ordering),
         lambda state, rng: dchain_step(model, state, rng, ordering=ordering),
     )
     ref = _censored_restart_run(
@@ -323,8 +334,11 @@ def test_survival_rows_grow_with_depth(e1, lf1):
         assert shallow.levels == sample_eta(fresh(model), 2, 1, rng_fresh).levels
         assert deep.levels == sample_eta(fresh(model), 9, 1, rng_fresh).levels
         assert rng.getstate() == rng_fresh.getstate()
-        want = [row.tolist() for row in _survival_seq(fresh(model), 9)]
-        assert _survival_rows(grown, 9) == want
+        assert _survival_rows(grown, 9) == _reference_survival_rows(model, 9)
+        # the zeta sampler reads and grows the same rows
+        zeta_first = fresh(model)
+        sample_zeta(zeta_first, 4, 1, rng)
+        assert _survival_rows(zeta_first, 0) == _reference_survival_rows(model, 4)
 
 
 def test_state_validation():
@@ -359,12 +373,12 @@ def test_state_boundary_refusals():
 def _chain_a_samples(model, T, rng, count, ordering=None, root_type=1):
     vals = []
     state = init_quasistationary(
-        model, T, "rejection", rng, ordering=ordering, root_type=root_type
+        model, T, rng, ordering=ordering, root_type=root_type
     )
     while len(vals) < count:
         if state.coalescence_level() is None:
             state = init_quasistationary(
-                model, T, "rejection", rng, ordering=ordering, root_type=root_type
+                model, T, rng, ordering=ordering, root_type=root_type
             )
             continue
         state, a, _ = dchain_step(model, state, rng, ordering=ordering)
@@ -408,7 +422,7 @@ def test_chain_joint_law_matches_closed_form(e1):
     # levels[j][0] is the depth-j ancestor, levels[0][0] the individual itself
     rng = stream(59, "joint-law")
     T = 6
-    states = [init_quasistationary(e1, T, "rejection", rng) for _ in range(25_000)]
+    states = [init_quasistationary(e1, T, rng) for _ in range(25_000)]
     for n in range(1, 4):
         for a in product((1, 2), repeat=n + 1):
             want = joint_A1_law(e1, a)
@@ -475,7 +489,7 @@ def test_rejection_init_matches_exact_recursion(e1):
     count = 12_000
     hits = 0
     for _ in range(count):
-        if init_quasistationary(e1, T, "rejection", rng).coalescence_level() == 1:
+        if init_quasistationary(e1, T, rng).coalescence_level() == 1:
             hits += 1
     expect = _exact_leftmost_a1_cdf(T)
     se = np.sqrt(expect * (1 - expect) / count)
@@ -496,68 +510,9 @@ def test_rejection_fast_path_matches_literal_extraction(e1):
     fast = []
     rng = stream(97, "fastpath")
     for _ in range(count):
-        a = init_quasistationary(e1, T, "rejection", rng).coalescence_level()
+        a = init_quasistationary(e1, T, rng).coalescence_level()
         fast.append(T + 1 if a is None else a)
     assert _ks_passes(lit, fast)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the two initialization modes approximate different laws: the "
-        "size-biased spine fixes the stationary type mix at every level, "
-        "while the conditioned-tree law has shallow-level boundary effects "
-        "(measured KS distance ~0.1 at this fixture, far beyond sampling "
-        "noise); kept faithful to both constructions rather than tuned "
-        "to agree"
-    ),
-)
-def test_init_modes_agree(e1):
-    T = 15
-    count = 15_000
-    rng_a = stream(47, "mode-a")
-    rng_b = stream(53, "mode-b")
-    a_rej = []
-    for _ in range(count):
-        s = init_quasistationary(e1, T, "rejection", rng_a)
-        a = s.coalescence_level()
-        a_rej.append(T + 1 if a is None else a)
-    a_sb = []
-    for _ in range(count):
-        s = init_quasistationary(e1, T, "sizebiased_spine", rng_b)
-        a = s.coalescence_level()
-        a_sb.append(T + 1 if a is None else a)
-    assert _ks_passes(a_rej, a_sb)
-
-
-def test_init_mode_guards(e1, lf1):
-    rng = stream(59, "init-guard")
-    with pytest.raises(SchemaError, match="mode"):
-        init_quasistationary(e1, 5, "exact", rng)
-    with pytest.raises(SchemaError, match="finite-support"):
-        init_quasistationary(lf1, 5, "sizebiased_spine", rng)
-    # supercritical finite-support model cannot use the spine mode
-    spec = ModelSpec.from_pmf(
-        {1: {(0, 0): 0.2, (2, 0): 0.4, (1, 1): 0.4}, 2: {(0, 0): 0.2, (1, 1): 0.8}}
-    )
-    with pytest.raises(SchemaError, match="rho"):
-        init_quasistationary(spec, 5, "sizebiased_spine", rng)
-
-
-def test_sizebiased_normalization(e1):
-    from mtcpp.dchain import _sizebiased_tables
-
-    # second fixture sits exactly at criticality (rho = 1)
-    crit2 = ModelSpec.from_pmf(
-        {
-            1: {(0, 0): 0.4, (2, 0): 0.2, (0, 1): 0.2, (1, 1): 0.2},
-            2: {(0, 0): 0.5, (1, 0): 0.2, (0, 2): 0.3},
-        }
-    )
-    for spec in (e1, crit2):
-        _, tables = _sizebiased_tables(spec)
-        for cum in tables:
-            assert abs(cum[-1] - 1.0) <= 1e-12
 
 
 # -- Markov property surrogate ----------------------------------------------
@@ -566,13 +521,13 @@ def test_sizebiased_normalization(e1):
 def test_next_level_independent_of_preprevious(e1):
     rng = stream(61, "markov")
     T = 4
-    state = init_quasistationary(e1, T, "rejection", rng)
+    state = init_quasistationary(e1, T, rng)
     prev = None
     triples = []
     while len(triples) < 40_000:
         a = state.coalescence_level()
         if a is None:
-            state = init_quasistationary(e1, T, "rejection", rng)
+            state = init_quasistationary(e1, T, rng)
             prev = None
             continue
         nxt, _, _ = dchain_step(e1, state, rng)
@@ -666,9 +621,9 @@ def test_round_trip_exact(e1, rich2, lf1):
 
 def test_reconstruct_reproduces_chain_output(e1):
     rng = stream(79, "chain-recon")
-    state = init_quasistationary(e1, 8, "rejection", rng)
+    state = init_quasistationary(e1, 8, rng)
     while state.coalescence_level() is None:
-        state = init_quasistationary(e1, 8, "rejection", rng)
+        state = init_quasistationary(e1, 8, rng)
     states = [state]
     a_seq = []
     lineages = []

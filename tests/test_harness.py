@@ -93,49 +93,60 @@ def _refused_by_cli(tmp_path, capsys, model_flag, model, argv, message):
     assert not out.exists()
 
 
-def test_config_refuses_unknown_init_mode(tmp_path, capsys, e1):
-    with pytest.raises(SchemaError, match="unknown init_mode 'spine'"):
-        RunConfig(task="dchain", seed=1, out_dir="x", model_spec=e1, init_mode="spine")
-    # argparse limits --init-mode, so the config file is the way in
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"init_mode": "spine"}))
-    _refused_by_cli(
-        tmp_path, capsys, "--model-spec", e1,
-        ["dchain", "--config", str(path)], "unknown init_mode 'spine'",
-    )
-
-
-def test_config_refuses_sizebiased_spine_on_lf(tmp_path, capsys, lf1):
-    message = "init_mode 'sizebiased_spine' needs a finite-support model"
-    for task in ("dchain", "simulate"):
-        with pytest.raises(SchemaError, match=message):
-            RunConfig(
-                task=task, seed=1, out_dir="x", lf_params=lf1,
-                init_mode="sizebiased_spine",
-            )
-    _refused_by_cli(
-        tmp_path, capsys, "--model-lf", lf1,
-        ["dchain", "--init-mode", "sizebiased_spine"], message,
-    )
-
-
-def test_config_refuses_validate_with_sizebiased_spine(tmp_path, capsys, e1):
-    # the spine start samples a different law from the one validate scores
-    # (worst z near -20 on a three-type model), so the run cannot pass
-    message = "init_mode 'sizebiased_spine' does not sample"
+def test_config_refuses_unknown_ordering(tmp_path, capsys, lf1):
+    message = "unknown ordering 'leftmost'"
     with pytest.raises(SchemaError, match=message):
-        RunConfig(
-            task="validate", seed=1, out_dir="x", model_spec=e1,
-            init_mode="sizebiased_spine",
-        )
+        RunConfig(task="dchain", seed=1, out_dir="x", lf_params=lf1, ordering="leftmost")
+    # argparse limits --ordering, so the config file is the way in
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ordering": "leftmost"}))
+    _refused_by_cli(
+        tmp_path, capsys, "--model-lf", lf1, ["dchain", "--config", str(path)], message
+    )
+
+
+def test_config_refuses_lf_first_on_finite_support(tmp_path, capsys, e1, lf1):
+    message = "ordering 'lf_first' needs linear-fractional parameters"
+    for task in ("validate", "simulate", "dchain"):
+        with pytest.raises(SchemaError, match=message):
+            RunConfig(task=task, seed=1, out_dir="x", model_spec=e1, ordering="lf_first")
     _refused_by_cli(
         tmp_path, capsys, "--model-spec", e1,
-        ["validate", "--init-mode", "sizebiased_spine"], message,
+        ["validate", "--ordering", "lf_first"], message,
     )
-    # the mode stays available to the chain task on a finite-support model
-    RunConfig(
-        task="dchain", seed=1, out_dir="x", model_spec=e1, init_mode="sizebiased_spine"
+    RunConfig(task="validate", seed=1, out_dir="x", lf_params=lf1, ordering="lf_first")
+    RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, ordering="uniform")
+
+
+def test_config_refuses_root_type_outside_types(tmp_path, capsys, e1, lf1):
+    for model in ({"model_spec": e1}, {"lf_params": lf1}):
+        for root_type in (0, 3):
+            with pytest.raises(SchemaError, match=f"root_type {root_type} outside 1..2"):
+                RunConfig(task="dchain", seed=1, out_dir="x", root_type=root_type, **model)
+        RunConfig(task="dchain", seed=1, out_dir="x", root_type=2, **model)
+    _refused_by_cli(
+        tmp_path, capsys, "--model-spec", e1,
+        ["validate", "--root-type", "3"], "root_type 3 outside 1..2",
     )
+
+
+def test_cli_refuses_removed_init_mode(tmp_path, capsys, e1):
+    # the chain has one start; a config file still naming the key is told so
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"init_mode": "rejection"}))
+    with pytest.raises(SchemaError, match="config key 'init_mode' was removed"):
+        build_config(["dchain", "--config", str(path), "--seed", "1", "--out", "o"])
+    _refused_by_cli(
+        tmp_path, capsys, "--model-spec", e1,
+        ["dchain", "--config", str(path)], "config key 'init_mode' was removed",
+    )
+    # the flag is gone from the parser: a usage error, also exit 1
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["dchain", "--init-mode", "rejection", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "--init-mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_two_type_pairing(lf1):
@@ -360,14 +371,14 @@ def test_compare_two_type_task(tmp_path):
         assert float(b2a) <= float(b2s) + 1e-12
 
 
-def _reference_chain_a_values(model, T, count, rng, init_mode):
+def _reference_chain_a_values(model, T, count, rng):
     """The dchain task's own chain loop, as it was before it shared the
     censored-restart generator: `count` uncensored A values."""
     vals = []
     state = None
     while len(vals) < count:
         if state is None:
-            state = dchain.init_quasistationary(model, T, init_mode, rng)
+            state = dchain.init_quasistationary(model, T, rng)
         if state.coalescence_level() is None:
             state = None
             continue
@@ -385,7 +396,7 @@ def _reference_stationary_tallies(model, T, count, rng, b_types):
     state = None
     for _ in range(count):
         if state is None:
-            state = dchain.init_quasistationary(model, T, "rejection", rng)
+            state = dchain.init_quasistationary(model, T, rng)
         standing = state.levels[0][0]
         for ell in b_types:
             if standing == ell:
@@ -408,14 +419,13 @@ def _reference_stationary_tallies(model, T, count, rng, b_types):
     return a_values, a_censored, b_values, b_censored
 
 
-@pytest.mark.parametrize("init_mode", ["rejection", "sizebiased_spine"])
-def test_chain_observations_keep_the_draw_order(e1, init_mode):
+def test_chain_observations_keep_the_draw_order(e1):
     # a short horizon censors often, so restarts land everywhere in the run
     T, count = 4, 600
     rng, rng_ref = stream(7, "chain-order"), stream(7, "chain-order")
-    chain = _chain_observations(e1, T, rng, None, init_mode, 1)
+    chain = _chain_observations(e1, T, rng, None, 1)
     got = list(itertools.islice((a for _, a in chain if a is not None), count))
-    assert got == _reference_chain_a_values(e1, T, count, rng_ref, init_mode)
+    assert got == _reference_chain_a_values(e1, T, count, rng_ref)
     assert rng.getstate() == rng_ref.getstate()
 
     rng, rng_ref = stream(8, "tally-order"), stream(8, "tally-order")
@@ -460,6 +470,27 @@ def test_run_is_deterministic_and_thread_invariant(lf1, tmp_path):
         assert run(cfg) == 0
         digests.append(_dir_digest(out))
     assert len(set(digests)) == 1
+
+
+@pytest.mark.parametrize("task", ["simulate", "dchain"])
+def test_default_ordering_is_the_models_own(task, e1, lf1, tmp_path):
+    # no ordering means lf_first for LF parameters and uniform for a spec
+    for name, model, orderings in (
+        ("lf", {"lf_params": lf1}, ["lf_first", "uniform"]),
+        ("spec", {"model_spec": e1}, ["uniform"]),
+    ):
+        digests = []
+        for ordering in [None] + orderings:
+            out = tmp_path / f"{name}-{ordering}"
+            cfg = RunConfig(
+                task=task, seed=9, out_dir=str(out), samples=300, horizon=6,
+                n_max=3, ordering=ordering, **model,
+            )
+            run(cfg)
+            digests.append(_dir_digest(out))
+        # the default gives the bytes of its explicit name, and only those
+        assert digests[0] == digests[1]
+        assert len(set(digests)) == len(orderings)
 
 
 def _explosive():
