@@ -6,15 +6,13 @@
 Tasks: simulate, laws, validate, compare-two-type, dchain.  The model
 comes from exactly one source: a config file's "model" block, or one of
 --model-lf / --model-spec pointing at a JSON file.  Command-line flags
-override config-file settings.  MTCPP_THREADS caps worker threads;
-output bytes do not depend on it.
+override config-file settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import SchemaError
@@ -101,12 +99,10 @@ def _two_type_from_config(doc: dict):
         return None
     if not isinstance(block, dict) or set(block) != {"g", "p", "h1", "m"}:
         raise SchemaError("config 'two_type' needs exactly the keys g, p, h1, m")
-    return (
-        float(block["g"]),
-        float(block["p"]),
-        float(block["h1"]),
-        float(block["m"]),
-    )
+    values = tuple(block[key] for key in ("g", "p", "h1", "m"))
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise SchemaError(f"config 'two_type' values must be numbers, got {block}")
+    return tuple(float(v) for v in values)
 
 
 def build_config(argv: list[str]) -> RunConfig:
@@ -151,17 +147,7 @@ def build_config(argv: list[str]) -> RunConfig:
             with open(args.model_spec) as fh:
                 spec = ModelSpec.from_json(fh.read())
     two_type = _two_type_from_config(doc)
-
-    threads = int(os.environ.get("MTCPP_THREADS", "1"))
-    if threads < 1:
-        raise SchemaError(f"MTCPP_THREADS must be >= 1, got {threads}")
-    return RunConfig(
-        model_spec=spec,
-        lf_params=params,
-        two_type=two_type,
-        threads=threads,
-        **settings,
-    )
+    return RunConfig(model_spec=spec, lf_params=params, two_type=two_type, **settings)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -28,14 +28,18 @@ from .errors import (
     InconsistentStateError,
     SchemaError,
 )
-from .forest import PlanarTree, _offspring_sampler, _resolve_ordering
+from .forest import (
+    DEFAULT_REJECTION_CAP,
+    PlanarTree,
+    _offspring_sampler,
+    _resolve_ordering,
+)
 from .lf import lf_pgf
 from .model import ModelSpec, pgf_eval_all
 from . import forest as _forest
 
 __all__ = [
     "ZetaSample",
-    "EtaSample",
     "DState",
     "sample_zeta",
     "sample_eta",
@@ -44,9 +48,6 @@ __all__ = [
     "extract_dstates",
     "reconstruct_tree",
 ]
-
-DEFAULT_REJECTION_CAP = 10**6
-
 
 @dataclass(frozen=True, eq=False)
 class ZetaSample:
@@ -60,23 +61,6 @@ class ZetaSample:
             raise SchemaError("conditioned offspring sample cannot be empty")
         if len(self.ordered) != int(self.counts.sum()):
             raise SchemaError("ordered list length does not match counts")
-
-
-@dataclass(frozen=True, eq=False)
-class EtaSample:
-    """Spine construction below one ancestor: levels[j] is level j+1.
-
-    Level n (the deepest) is the conditioned surviving offspring of the
-    initiating ancestor; each level below is the surviving offspring of
-    the previous level's first (leftmost surviving) entry.
-    """
-
-    levels: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        for j, lvl in enumerate(self.levels):
-            if len(lvl) < 1:
-                raise SchemaError(f"eta level {j + 1} is empty")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +140,11 @@ def _survival_rows(model, n: int) -> list[list[float]]:
     Python float rows, at least n + 1 of them, memoized per model instance
     and extended only when a deeper n is asked for; the rows sit in every
     zeta and spine draw's inner loop and are a pure function of the
-    offspring law.  An extension is built on a copy and stored whole, so
-    a concurrent reader never sees a half-grown list.
+    offspring law.
     """
     rows = _SURVIVAL_ROWS.get(model)
-    if rows is not None and len(rows) > n:
-        return rows
-    rows = list(rows) if rows is not None else [[1.0] * model.k]
+    if rows is None:
+        rows = _SURVIVAL_ROWS[model] = [[1.0] * model.k]
     k = model.k
     while len(rows) <= n:
         s = 1.0 - np.array(rows[-1])
@@ -173,7 +155,6 @@ def _survival_rows(model, n: int) -> list[list[float]]:
                 np.array([lf_pgf(model, ell, s) for ell in range(1, k + 1)]), 0.0, 1.0
             )
         rows.append((1.0 - s).tolist())
-    _SURVIVAL_ROWS[model] = rows
     return rows
 
 
@@ -187,16 +168,6 @@ def _kept_offspring(sampler, p_prev, ell: int, rng, cap: int) -> list[int]:
     raise GuardError(
         f"no surviving offspring of type {ell} within {cap} conditioning attempts"
     )
-
-
-def _zeta_with_p(
-    sampler, p_prev, ell: int, rng, k: int, cap: int
-) -> ZetaSample:
-    kept = _kept_offspring(sampler, p_prev, ell, rng, cap)
-    counts = np.zeros(k, dtype=np.int64)
-    for t in kept:
-        counts[t - 1] += 1
-    return ZetaSample(counts=counts, ordered=tuple(kept))
 
 
 def sample_zeta(
@@ -220,7 +191,11 @@ def sample_zeta(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
     sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
-    return _zeta_with_p(sampler, p_rows[n - 1], ell, rng, k, rejection_cap)
+    kept = _kept_offspring(sampler, p_rows[n - 1], ell, rng, rejection_cap)
+    counts = np.zeros(k, dtype=np.int64)
+    for t in kept:
+        counts[t - 1] += 1
+    return ZetaSample(counts=counts, ordered=tuple(kept))
 
 
 def sample_eta(
@@ -230,16 +205,18 @@ def sample_eta(
     rng,
     ordering: str | None = None,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
-) -> EtaSample:
+) -> tuple[tuple[int, ...], ...]:
     """Spine sample below a type-ell ancestor n generations back.
 
-    Level n is the conditioned surviving offspring of the ancestor; the
-    type of each level's first entry parents the level below it.
+    Returns n levels; position j holds level j + 1.  Level n is the
+    conditioned surviving offspring of the ancestor, and the type of each
+    level's first entry parents the level below it.  Every level is a
+    nonempty tuple of sampled types.
     """
     if n < 0:
         raise SchemaError(f"spine depth must be >= 0, got {n}")
     if n == 0:
-        return EtaSample(levels=())
+        return ()
     k = model.k
     if not 1 <= ell <= k:
         raise SchemaError(f"type {ell} outside 1..{k}")
@@ -255,7 +232,7 @@ def sample_eta(
         kept = _kept_offspring(sampler, p_rows[level - 1], parent_type, rng, rejection_cap)
         levels[level - 1] = tuple(kept)
         parent_type = kept[0]
-    return EtaSample(levels=tuple(levels))
+    return tuple(levels)
 
 
 def dchain_step(
@@ -279,13 +256,13 @@ def dchain_step(
         )
     shifted = state.levels[a - 1][1:]
     new_spine_type = shifted[0]
-    eta = sample_eta(
+    spine = sample_eta(
         model, a - 1, new_spine_type, rng, ordering=ordering, rejection_cap=rejection_cap
     )
-    # eta gives a - 1 nonempty levels of sampled types, shifted is
+    # the spine gives a - 1 nonempty levels of sampled types, shifted is
     # nonempty because level a held two or more, and the rest carry over:
     # exactly horizon valid levels, so the state skips the checks
-    new_levels = eta.levels + (shifted,) + state.levels[a:]
+    new_levels = spine + (shifted,) + state.levels[a:]
     nxt = DState._trusted(state.i + 1, new_levels, state.horizon)
     lineage = tuple([lvl[0] for lvl in new_levels[:a]])
     return nxt, a, lineage
@@ -311,10 +288,10 @@ def init_quasistationary(
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
-    eta = sample_eta(
+    levels = sample_eta(
         model, T, root_type, rng, ordering=ordering, rejection_cap=rejection_cap
     )
-    return DState._trusted(1, eta.levels, T)
+    return DState._trusted(1, levels, T)
 
 
 def extract_dstates(tree: PlanarTree) -> list[DState]:

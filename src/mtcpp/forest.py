@@ -318,27 +318,23 @@ def simulate_standing(
     T: int,
     target_width: int,
     rng,
-    mode: str = "retry",
     ordering: str = "uniform",
     root_type: int = 1,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> PlanarTree:
-    """Simulate a tree conditioned on a nonempty standing population.
+    """Simulate trees conditioned on a nonempty standing population.
 
-    mode='retry' repeats simulate_forward until generation 0 is nonempty
-    and returns that single tree (target_width is only validated).
-    mode='concat' lays independent surviving trees side by side until at
-    least target_width standing individuals exist; the result is then a
-    planar forest with several roots.  The rejections field counts the
-    discarded extinct attempts either way.
+    Independent depth-T trees are drawn until at least target_width
+    standing individuals survive, and the surviving trees are laid side by
+    side in draw order: the result is a planar forest with one root per
+    survivor, or the first surviving tree itself when it is wide enough
+    alone.  The rejections field counts the discarded extinct attempts.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
     if target_width < 1:
         raise SchemaError(f"target width must be >= 1, got {target_width}")
-    if mode not in ("retry", "concat"):
-        raise SchemaError(f"unknown standing mode {mode!r}")
     k = _model_k(model)
     if not 1 <= root_type <= k:
         raise SchemaError(f"root type {root_type} outside 1..{k}")
@@ -356,13 +352,11 @@ def simulate_standing(
         if not layers[0][-1]:
             rejections += 1
             continue
-        if mode == "retry":
-            return _layers_to_tree(*layers, T, rejections)
-        tree = _layers_to_tree(*layers, T, 0)
+        tree = _layers_to_tree(*layers, T, rejections)
         survivors.append(tree)
         got += tree.width
         if got >= target_width:
-            return _concat_trees(survivors, rejections)
+            return tree if len(survivors) == 1 else _concat_trees(survivors, rejections)
 
 
 def standing_population(tree: PlanarTree) -> StandingPopulation:

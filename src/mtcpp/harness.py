@@ -6,8 +6,7 @@ the output directory: laws.csv (closed-form tables), estimates.csv
 two-family comparisons), tree.tsv (planar tree dump), report.json
 (machine-readable pass/fail).  Everything emitted is a deterministic
 function of (config, seed): replicate streams are derived by hashing the
-master seed with the task id and replicate index, and replicate results
-merge in index order, so the bytes do not depend on scheduling.
+master seed with the task id and replicate index.
 
 Validation uses |z| <= 4 per row (about 6e-5 two-sided each).  A single
 breached row in an otherwise healthy run is expected roughly once per
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,8 +61,10 @@ KS_COEFF_1PCT = 1.628
 #: Per-row z threshold for the validate task.
 Z_LIMIT = 4.0
 
-#: Replicate count for Monte Carlo work; fixed so that emitted bytes do
-#: not depend on how many threads actually run.
+#: Replicate count for Monte Carlo work.  Each replicate draws from its
+#: own stream, keyed by (seed, statistic, replicate index), and replicates
+#: merge in index order; the count is fixed because it sets those keys and
+#: so the emitted bytes.
 REPLICATES = 8
 
 
@@ -89,12 +89,19 @@ class RunConfig:
     ordering: str | None = None
     root_type: int = 1
     n_max: int = 5
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise SchemaError(f"unknown task {self.task!r}; choose from {TASKS}")
-        if not 0 <= int(self.seed) < 2**64:
+        # a config file can hold any JSON value; refuse wrong types here,
+        # before a comparison raises TypeError or a float seed is echoed
+        for name in ("seed", "samples", "horizon", "root_type", "n_max"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise SchemaError(f"output directory must be a string, got {self.out_dir!r}")
+        if not 0 <= self.seed < 2**64:
             raise SchemaError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.samples < 1:
             raise SchemaError(f"samples must be >= 1, got {self.samples}")
@@ -102,8 +109,6 @@ class RunConfig:
             raise SchemaError(f"horizon must be >= 1, got {self.horizon}")
         if self.n_max < 0:
             raise SchemaError(f"n_max must be >= 0, got {self.n_max}")
-        if self.threads < 1:
-            raise SchemaError(f"threads must be >= 1, got {self.threads}")
         sources = [
             s for s in (self.model_spec, self.lf_params, self.two_type) if s is not None
         ]
@@ -219,17 +224,12 @@ def _split_samples(samples: int) -> list[int]:
     return [base + (1 if r < extra else 0) for r in range(reps)]
 
 
-def _run_replicates(worker, seed, statistic, samples, threads):
-    """Run `worker(r, count, rng)` per replicate; results in index order."""
-    shares = _split_samples(samples)
-    rngs = [stream(seed, "mc", statistic, r) for r in range(len(shares))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(worker, r, shares[r], rngs[r]) for r in range(len(shares))
-            ]
-            return [f.result() for f in futures]
-    return [worker(r, shares[r], rngs[r]) for r in range(len(shares))]
+def _run_replicates(worker, seed, statistic, samples):
+    """Run `worker(count, rng)` per replicate; results in index order."""
+    return [
+        worker(count, stream(seed, "mc", statistic, r))
+        for r, count in enumerate(_split_samples(samples))
+    ]
 
 
 def _first_pair_tallies(model, T, count, rng, ordering, root_type, n_max):
@@ -352,7 +352,6 @@ def mc_estimate(
     ordering: str | None = None,
     root_type: int = 1,
     n_max: int = 5,
-    threads: int = 1,
 ) -> list[EstimateRow]:
     """Empirical tail estimates with binomial standard errors.
 
@@ -390,13 +389,12 @@ def mc_estimate(
                 f"a_first needs n_max <= horizon - 1, got n_max={n_max}, T={T}"
             )
         parts = _run_replicates(
-            lambda r, count, rng: _first_pair_tallies(
+            lambda count, rng: _first_pair_tallies(
                 model, T, count, rng, ordering, root_type, n_max
             ),
             seed,
             statistic,
             samples,
-            threads,
         )
         rows = []
         for n in range(n_max + 1):
@@ -427,13 +425,12 @@ def mc_estimate(
                 raise SchemaError(f"type index {ell} out of range 1..{model.k}")
             b_types = [ell]
         parts = _run_replicates(
-            lambda r, count, rng: _stationary_tallies(
+            lambda count, rng: _stationary_tallies(
                 model, T, count, rng, ordering, root_type, b_types
             ),
             seed,
             statistic,
             samples,
-            threads,
         )
         if b_types:
             ell = b_types[0]
@@ -599,7 +596,6 @@ def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
                 ordering=cfg.ordering,
                 root_type=cfg.root_type,
                 n_max=cfg.n_max,
-                threads=cfg.threads,
             )
         )
     out["estimates.csv"] = estimates_to_csv(rows)
@@ -630,13 +626,11 @@ def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
 
 def _task_simulate(cfg: RunConfig, out: dict) -> list[dict]:
     rng = stream(cfg.seed, "simulate", 0)
-    mode = "concat" if cfg.samples > 1 else "retry"
     tree = forest.simulate_standing(
         cfg.model,
         cfg.horizon,
         cfg.samples,
         rng,
-        mode=mode,
         ordering=forest._resolve_ordering(cfg.model, cfg.ordering),
         root_type=cfg.root_type,
     )
@@ -691,7 +685,6 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
         ordering=cfg.ordering,
         root_type=cfg.root_type,
         n_max=cfg.n_max,
-        threads=cfg.threads,
     )
     out["estimates.csv"] = estimates_to_csv(rows)
 

@@ -142,20 +142,20 @@ def test_eta_depth1_matches_zeta(rich2):
     rng_a = stream(13, "eta-a")
     rng_b = stream(13, "eta-a")
     for _ in range(100):
-        eta = sample_eta(rich2, 1, 1, rng_a)
+        levels = sample_eta(rich2, 1, 1, rng_a)
         z = sample_zeta(rich2, 1, 1, rng_b)
-        assert eta.levels == (z.ordered,)
+        assert levels == (z.ordered,)
 
 
 def test_eta_structure(rich2):
     rng = stream(17, "eta-struct")
     for _ in range(2_000):
-        eta = sample_eta(rich2, 4, 1, rng)
-        assert len(eta.levels) == 4
-        for lvl in eta.levels:
+        levels = sample_eta(rich2, 4, 1, rng)
+        assert len(levels) == 4
+        for lvl in levels:
             assert len(lvl) >= 1
             assert all(1 <= t <= 2 for t in lvl)
-    assert sample_eta(rich2, 0, 1, rng).levels == ()
+    assert sample_eta(rich2, 0, 1, rng) == ()
 
 
 def test_eta_matches_leftmost_standing_lineage(e1):
@@ -166,8 +166,8 @@ def test_eta_matches_leftmost_standing_lineage(e1):
     depth = 3
     eta_keys = []
     for _ in range(n_draw):
-        eta = sample_eta(e1, depth, 1, rng)
-        eta_keys.append(tuple(len(l) for l in eta.levels))
+        levels = sample_eta(e1, depth, 1, rng)
+        eta_keys.append(tuple(len(l) for l in levels))
     tree_keys = []
     for _ in range(n_draw):
         tree = simulate_standing(e1, depth, 1, rng, root_type=1)
@@ -331,8 +331,8 @@ def test_survival_rows_grow_with_depth(e1, lf1):
         deep = sample_eta(grown, 9, 1, rng)
         assert len(_survival_rows(grown, 0)) == 10
         rng_fresh = stream(103, "rows")
-        assert shallow.levels == sample_eta(fresh(model), 2, 1, rng_fresh).levels
-        assert deep.levels == sample_eta(fresh(model), 9, 1, rng_fresh).levels
+        assert shallow == sample_eta(fresh(model), 2, 1, rng_fresh)
+        assert deep == sample_eta(fresh(model), 9, 1, rng_fresh)
         assert rng.getstate() == rng_fresh.getstate()
         assert _survival_rows(grown, 9) == _reference_survival_rows(model, 9)
         # the zeta sampler reads and grows the same rows

@@ -274,9 +274,7 @@ def test_emission_matches_reference_on_edge_trees(tree):
 )
 def test_emission_matches_reference_on_seeded_forests(model, ordering, T, seed, e1):
     model = LF3 if model == "lf3" else e1
-    tree = simulate_standing(
-        model, T, 600, stream(seed, "emit"), mode="concat", ordering=ordering
-    )
+    tree = simulate_standing(model, T, 600, stream(seed, "emit"), ordering=ordering)
     assert tree.width >= 600 and len(tree.types[0]) > 1
     assert_emission_matches_reference(tree)
 
@@ -443,13 +441,38 @@ def test_supercritical_acceptance_rate(lf1):
 
 def test_standing_concat_mode(e1):
     rng = stream(29, "concat")
-    tree = simulate_standing(e1, 5, 30, rng, mode="concat")
+    tree = simulate_standing(e1, 5, 30, rng)
     assert tree.width >= 30
     assert len(tree.types[0]) > 1
     assert np.all(tree.parents[0] == 0)
     # pairs spanning different roots stay censored
     recs = coalescence_times(tree)
     assert sum(r.censored for r in recs) >= len(tree.types[0]) - 1
+
+
+@pytest.mark.parametrize("target", [1, 30])
+def test_standing_lays_first_survivors_side_by_side(e1, target):
+    tree = simulate_standing(e1, 5, target, stream(37, "side"))
+    # reference: single-root draws from the same stream, extinct ones counted
+    rng = stream(37, "side")
+    survivors, rejections, width = [], 0, 0
+    while width < target:
+        t = simulate_forward(e1, "uniform", 1, 5, rng)
+        if t.width == 0:
+            rejections += 1
+            continue
+        survivors.append(t)
+        width += t.width
+    assert tree.rejections == rejections
+    assert len(tree.types[0]) == len(survivors)
+    for j in range(6):
+        types, parents, offset = [], [], 0
+        for t in survivors:
+            types += t.types[j].tolist()
+            parents += [p + offset if j else 0 for p in t.parents[j].tolist()]
+            offset += len(t.types[j - 1]) if j else 0
+        assert tree.types[j].tolist() == types
+        assert tree.parents[j].tolist() == parents
 
 
 def test_standing_rejection_cap(e1):

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run end to end against the current library."""
+"""The scripts under scripts/ and the benchmark's smoke run work end to end
+against the current library."""
 
 import csv
 import io
@@ -11,7 +12,8 @@ import mtcpp
 from mtcpp.harness import mc_estimate
 from mtcpp.lf import two_type_compare
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run_script(name, *args):
@@ -61,3 +63,16 @@ def test_two_type_grid_script():
         assert got[:4] == ["0.3", "0.5", "0.5", "1.0"]
         assert [float(x) for x in got[4:]] == [float(x) for x in row]
     assert "largest combined dominance gap" in proc.stderr
+
+
+def test_bench_smoke():
+    # bench/tracer.py wraps package functions by module attribute name, so
+    # moving or renaming one of them fails this run
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--smoke"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "smoke: PASS"
