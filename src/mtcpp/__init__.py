@@ -1,13 +1,14 @@
 """Coalescent point processes of multi-type branching trees.
 
-Subpackages by concern:
+Modules by concern:
 
 - `model`: finite-support offspring laws and generating-function calculus
 - `lf`: the linear-fractional parametric class and its closed-form laws
 - `forest`: planar tree simulation and coalescent extraction
 - `dchain`: the reduced ancestry chain over surviving-offspring states
 - `analytics`: exact law evaluation, enumeration oracles, and diagnostics
-- `harness`: Monte Carlo drivers, validation, and the CLI entry point
+- `harness`: run configuration, Monte Carlo drivers, validation and emission
+- `cli`: the command-line entry point
 """
 
 from .model import ModelSpec, SpectralInfo

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .model import (
     ModelSpec,
+    _orbit_start,
     complement_orbit,
     mean_matrix,
     pgf_partial,
@@ -83,16 +84,16 @@ class PopsizeLaw:
         return float(sum(self.probs.values()))
 
 
-def _offspring_grid(spec: ModelSpec, ell: int, cap: int) -> tuple[np.ndarray, float]:
-    """Single-parent offspring pmf of type ell on a [0, cap)^k dense grid."""
+def _offspring_grid(spec: ModelSpec, ell: int, cap: int) -> np.ndarray:
+    """Single-parent offspring pmf of type ell on a [0, cap)^k dense grid.
+
+    Rows outside the box are dropped; the propagation's deficit counts them.
+    """
     grid = np.zeros((cap,) * spec.k)
-    lost = 0.0
     for z, p in zip(spec.counts[ell - 1], spec.probs[ell - 1]):
-        if np.any(z >= cap):
-            lost += float(p)
-            continue
-        grid[tuple(int(c) for c in z)] += float(p)
-    return grid, lost
+        if np.all(z < cap):
+            grid[tuple(int(c) for c in z)] += float(p)
+    return grid
 
 
 def _power_table(pmf: np.ndarray, cap: int) -> np.ndarray:
@@ -119,7 +120,7 @@ def _power_table(pmf: np.ndarray, cap: int) -> np.ndarray:
 
 def _propagate_dense(spec: ModelSpec, n: int, root: int, cap: int) -> tuple[np.ndarray, float]:
     k = spec.k
-    offspring = [_offspring_grid(spec, ell, cap)[0] for ell in range(1, k + 1)]
+    offspring = [_offspring_grid(spec, ell, cap) for ell in range(1, k + 1)]
     q = np.zeros((cap,) * k)
     start = [0] * k
     start[root - 1] = 1
@@ -231,6 +232,36 @@ def conditioned_popsize_law(spec: ModelSpec, n: int, root: int, cap: int) -> Pop
 
 
 # -- first-pair laws ---------------------------------------------------------
+#
+# A and B_ell are one law at two start points: survival means any standing
+# descendant for A (ell None, orbit from s = 0) and a standing type-ell
+# descendant for B_ell (orbit from s = 1 - e_ell).  Each body takes ell.
+
+
+def _cannot_survive(top: int, ell: int | None, n: int) -> str:
+    if ell is None:
+        return f"type {top} cannot survive {n} generations"
+    return f"type {top} cannot have type-{ell} descendants after {n} generations"
+
+
+def _joint_law(spec: ModelSpec, a: TypeString, ell: int | None) -> float:
+    n = len(a) - 1
+    start = _orbit_start(spec.k, ell)
+    p = complement_orbit(spec, n, start)
+    norm = float(p[n][a[n] - 1])
+    if norm < CONDITIONING_FLOOR:
+        raise ImpossibleConditioningError(
+            f"{_cannot_survive(a[n], ell, n)} (probability {norm:.3e})"
+        )
+    value = 1.0
+    for nprime in range(1, n + 1):
+        s = 1.0 - p[nprime - 1]
+        if nprime == 1:
+            # at the standing level only the individual itself counts, so
+            # the evaluation point one generation up is the start point
+            assert np.array_equal(s, start)
+        value *= pgf_partial(spec, a[nprime], a[nprime - 1], s)
+    return value / norm
 
 
 def joint_A1_law(spec: ModelSpec, a) -> float:
@@ -241,56 +272,7 @@ def joint_A1_law(spec: ModelSpec, a) -> float:
     generation -n ancestor); the returned value is the conditional joint
     probability of {A1 > n, lineage prefix = a[0..n-1]}.
     """
-    a = _check_typestring(spec.k, a)
-    n = len(a) - 1
-    p = complement_orbit(spec, n, np.zeros(spec.k))
-    norm = float(p[n][a[n] - 1])
-    if norm < CONDITIONING_FLOOR:
-        raise ImpossibleConditioningError(
-            f"type {a[n]} cannot survive {n} generations (probability {norm:.3e})"
-        )
-    value = 1.0
-    for nprime in range(1, n + 1):
-        s = 1.0 - p[nprime - 1]
-        if nprime == 1:
-            # survival one generation down from the standing level is certain
-            assert not np.any(s)
-        value *= pgf_partial(spec, a[nprime], a[nprime - 1], s)
-    return value / norm
-
-
-def _single_descendant_probs(spec: ModelSpec, n: int, s, w) -> tuple[np.ndarray, np.ndarray]:
-    """(D f^(n)(s) @ w, 1 - f^(n)(s)) by one walk along the orbit of s.
-
-    The chain rule makes the Jacobian of f^(n) at s the product
-    Df(f^(n-1)(s)) ... Df(f^(0)(s)) of k x k matrices [d f_i / d s_j],
-    applied here right to left to the vector w.  At s = 0, entry (i, j)
-    of the product is P(Z_n = e_j | Z_0 = e_i); at s = 1 - e_ell, entry
-    (i, ell) is the probability of exactly one type-ell descendant.
-    """
-    q = complement_orbit(spec, n, s)
-    types = range(1, spec.k + 1)
-    for j in range(n):
-        point = 1.0 - q[j]
-        jac = np.array([[pgf_partial(spec, i, t, point) for t in types] for i in types])
-        w = jac @ w
-    return w, q[n]
-
-
-def A1_tail(spec: ModelSpec, top_type: int, n: int) -> float:
-    """P(exactly one standing descendant | any, root type top_type, n generations)."""
-    if n < 0:
-        raise SchemaError(f"generation count must be >= 0, got {n}")
-    if top_type < 1 or top_type > spec.k:
-        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
-    if n == 0:
-        return 1.0
-    singles, alive = _single_descendant_probs(spec, n, np.zeros(spec.k), np.ones(spec.k))
-    if alive[top_type - 1] < CONDITIONING_FLOOR:
-        raise ImpossibleConditioningError(
-            f"type {top_type} cannot survive {n} generations"
-        )
-    return float(singles[top_type - 1] / alive[top_type - 1])
+    return _joint_law(spec, _check_typestring(spec.k, a), None)
 
 
 def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
@@ -305,46 +287,44 @@ def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
         raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
     if a[0] != ell:
         raise SchemaError(f"lineage must stand on a type-{ell} individual, got a[0]={a[0]}")
-    n = len(a) - 1
-    p = complement_orbit(spec, n, 1.0 - np.eye(spec.k)[ell - 1])
-    norm = float(p[n][a[n] - 1])
-    if norm < CONDITIONING_FLOOR:
-        raise ImpossibleConditioningError(
-            f"type {a[n]} cannot have type-{ell} descendants after {n} generations"
-        )
-    value = 1.0
-    for nprime in range(1, n + 1):
-        s = 1.0 - p[nprime - 1]
-        if nprime == 1:
-            # at the standing level the only type-ell-descendant is the
-            # individual itself, so the evaluation point is the indicator
-            # complement of ell exactly
-            assert np.array_equal(s, 1.0 - np.eye(spec.k)[ell - 1])
-        value *= pgf_partial(spec, a[nprime], a[nprime - 1], s)
-    return value / norm
+    return _joint_law(spec, a, ell)
+
+
+def _tail(spec: ModelSpec, ell: int | None, top_type: int, n: int) -> float:
+    """P(exactly one surviving standing descendant | at least one).
+
+    The chain rule makes the Jacobian of f^(n) at the start point s the
+    product Df(f^(n-1)(s)) ... Df(f^(0)(s)); one walk along the orbit
+    applies it right to left to 1 - f^(0)(s), all ones for A and e_ell for
+    B.  Entry i is the single-descendant probability of a type-i root.
+    """
+    if n < 0:
+        raise SchemaError(f"generation count must be >= 0, got {n}")
+    if top_type < 1 or top_type > spec.k:
+        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
+    q = complement_orbit(spec, n, _orbit_start(spec.k, ell))
+    singles = q[0]
+    types = range(1, spec.k + 1)
+    for j in range(n):
+        point = 1.0 - q[j]
+        jac = np.array([[pgf_partial(spec, i, t, point) for t in types] for i in types])
+        singles = jac @ singles
+    alive = q[n][top_type - 1]
+    if alive < CONDITIONING_FLOOR:
+        raise ImpossibleConditioningError(_cannot_survive(top_type, ell, n))
+    return float(singles[top_type - 1] / alive)
+
+
+def A1_tail(spec: ModelSpec, top_type: int, n: int) -> float:
+    """P(exactly one standing descendant | any, root type top_type, n generations)."""
+    return _tail(spec, None, top_type, n)
 
 
 def B1_tail(spec: ModelSpec, ell: int, top_type: int, n: int) -> float:
     """P(exactly one standing type-ell descendant | at least one, root top_type)."""
     if ell < 1 or ell > spec.k:
         raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
-    if n < 0:
-        raise SchemaError(f"generation count must be >= 0, got {n}")
-    if top_type < 1 or top_type > spec.k:
-        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
-    if n == 0:
-        if top_type != ell:
-            raise ImpossibleConditioningError(
-                f"a type-{top_type} individual is not a type-{ell} descendant of itself"
-            )
-        return 1.0
-    e_ell = np.eye(spec.k)[ell - 1]
-    singles, alive = _single_descendant_probs(spec, n, 1.0 - e_ell, e_ell)
-    if alive[top_type - 1] < CONDITIONING_FLOOR:
-        raise ImpossibleConditioningError(
-            f"type {top_type} cannot have type-{ell} descendants after {n} generations"
-        )
-    return float(singles[top_type - 1] / alive[top_type - 1])
+    return _tail(spec, ell, top_type, n)
 
 
 # -- exhaustive small-instance oracle ----------------------------------------
@@ -420,43 +400,38 @@ def oracle_enumerate(spec: ModelSpec, n: int, event: EventQuery) -> float:
         raise GuardError(f"oracle limited to n <= 4, got {n}")
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    memo: dict = {}
-    if event.kind in ("a_joint", "b_joint"):
+    if event.kind not in ("a_joint", "a_tail", "b_joint", "b_tail"):
+        raise SchemaError(f"unknown event kind {event.kind!r}")
+    target = None
+    if event.kind.startswith("b_"):
+        if event.ell is None:
+            raise SchemaError(f"{event.kind} query needs ell")
+        target = event.ell
+    # the event kind picks the root and the mass returned; nothing else
+    joint = event.kind.endswith("_joint")
+    if joint:
         if event.a is None:
             raise SchemaError(f"{event.kind} query needs a lineage")
         a = _check_typestring(spec.k, event.a)
         if len(a) != n + 1:
             raise SchemaError(f"lineage length {len(a)} does not match n={n}")
+        if target is not None and a[0] != target:
+            raise SchemaError("lineage must stand on a type-ell individual")
         root = a[n]
-        target = None
-        if event.kind == "b_joint":
-            if event.ell is None:
-                raise SchemaError("b_joint query needs ell")
-            if a[0] != event.ell:
-                raise SchemaError("lineage must stand on a type-ell individual")
-            target = event.ell
-        dist = _summary_distribution(spec, root, n, target, memo)
-        alive = 1.0 - dist.get(_NONE, 0.0)
-        if alive < CONDITIONING_FLOOR:
-            raise ImpossibleConditioningError("conditioning event has no mass")
-        return dist.get(a[:n], 0.0) / alive
-    if event.kind in ("a_tail", "b_tail"):
+    else:
         if event.top is None:
             raise SchemaError(f"{event.kind} query needs a top type")
-        target = None
-        if event.kind == "b_tail":
-            if event.ell is None:
-                raise SchemaError("b_tail query needs ell")
-            target = event.ell
         if event.top < 1 or event.top > spec.k:
             raise SchemaError(f"type index {event.top} out of range 1..{spec.k}")
-        dist = _summary_distribution(spec, event.top, n, target, memo)
-        alive = 1.0 - dist.get(_NONE, 0.0)
-        if alive < CONDITIONING_FLOOR:
-            raise ImpossibleConditioningError("conditioning event has no mass")
-        one = sum(p for kk, p in dist.items() if kk not in (_NONE, _MANY))
-        return one / alive
-    raise SchemaError(f"unknown event kind {event.kind!r}")
+        root = event.top
+    dist = _summary_distribution(spec, root, n, target, {})
+    alive = 1.0 - dist.get(_NONE, 0.0)
+    if alive < CONDITIONING_FLOOR:
+        raise ImpossibleConditioningError("conditioning event has no mass")
+    if joint:
+        return dist.get(a[:n], 0.0) / alive
+    one = sum(p for kk, p in dist.items() if kk not in (_NONE, _MANY))
+    return one / alive
 
 
 # -- intensity bookkeeping ---------------------------------------------------
@@ -501,24 +476,24 @@ def intensity_check(pA, pB, g, n_max: int, tol: float = 1e-9) -> IntensityReport
         raise SchemaError(f"n_max must be >= 1, got {n_max}")
     rows = []
     worst = 0.0
-    strict = True
     for n in range(1, n_max + 1):
         tail_a = float(pA(n))
         nu_a = 1.0 - tail_a
         nu_b = []
+        gaps = []
         for ell, fn in enumerate(pB):
             lhs = 1.0 - float(fn(n))
             rhs = nu_a * g[ell] / (tail_a + nu_a * g[ell])
             gap = abs(lhs - rhs)
-            worst = max(worst, gap)
             if gap > tol:
                 raise NumericConsistencyError(
                     f"intensity identity off by {gap:.3e} at n={n}, type {ell + 1}"
                 )
             nu_b.append(lhs)
+            gaps.append(gap)
+        worst = max(worst, *gaps)
         weighted = float(g @ np.array(nu_b))
         if len(pB) > 1 and nu_a > 0.0 and tail_a > 0.0 and not weighted < nu_a:
-            strict = False
             raise NumericConsistencyError(
                 f"type-resolved intensities fill the pair intensity at n={n}: "
                 f"{weighted!r} vs {nu_a!r}"
@@ -532,11 +507,12 @@ def intensity_check(pA, pB, g, n_max: int, tol: float = 1e-9) -> IntensityReport
                 n=n,
                 nu_a=nu_a,
                 nu_b=tuple(nu_b),
-                identity_gap=max(abs(1.0 - float(fn(n)) - nu_a * g[i] / (tail_a + nu_a * g[i])) for i, fn in enumerate(pB)),
+                identity_gap=max(gaps),
                 weighted_b_sum=weighted,
             )
         )
-    return IntensityReport(rows=tuple(rows), max_identity_gap=worst, subpartition_strict=strict)
+    # a non-strict subpartition raises above, so every returned report is strict
+    return IntensityReport(rows=tuple(rows), max_identity_gap=worst, subpartition_strict=True)
 
 
 # -- spine decomposition test ------------------------------------------------

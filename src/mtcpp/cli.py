@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import SchemaError
@@ -82,14 +83,14 @@ def _load_config_file(path: str) -> dict:
 def _model_from_config(doc: dict):
     block = doc.get("model")
     if block is None:
-        return None, None
+        return None
     if not isinstance(block, dict) or len(block) != 1:
         raise SchemaError("config 'model' must be {'lf': {...}} or {'spec': {...}}")
     (kind, payload), = block.items()
     if kind == "lf":
-        return None, LFParams.from_json(json.dumps(payload))
+        return LFParams.from_json(json.dumps(payload))
     if kind == "spec":
-        return ModelSpec.from_json(json.dumps(payload)), None
+        return ModelSpec.from_json(json.dumps(payload))
     raise SchemaError(f"unknown model kind {kind!r}; use 'lf' or 'spec'")
 
 
@@ -102,7 +103,10 @@ def _two_type_from_config(doc: dict):
     values = tuple(block[key] for key in ("g", "p", "h1", "m"))
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise SchemaError(f"config 'two_type' values must be numbers, got {block}")
-    return tuple(float(v) for v in values)
+    values = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(f"config 'two_type' values must be finite, got {block}")
+    return values
 
 
 def build_config(argv: list[str]) -> RunConfig:
@@ -134,20 +138,20 @@ def build_config(argv: list[str]) -> RunConfig:
         raise SchemaError("an output directory is required (--out or config 'out')")
     settings = {k: v for k, v in settings.items() if v is not None}
 
-    spec, params = _model_from_config(doc)
+    model = _model_from_config(doc)
     if args.model_lf is not None or args.model_spec is not None:
-        if spec is not None or params is not None:
+        if model is not None:
             raise SchemaError(
                 "multiple model sources: drop the config 'model' block or the flag"
             )
         if args.model_lf is not None:
             with open(args.model_lf) as fh:
-                params = LFParams.from_json(fh.read())
+                model = LFParams.from_json(fh.read())
         else:
             with open(args.model_spec) as fh:
-                spec = ModelSpec.from_json(fh.read())
+                model = ModelSpec.from_json(fh.read())
     two_type = _two_type_from_config(doc)
-    return RunConfig(model_spec=spec, lf_params=params, two_type=two_type, **settings)
+    return RunConfig(model=model, two_type=two_type, **settings)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -158,15 +158,19 @@ def _survival_rows(model, n: int) -> list[list[float]]:
     return rows
 
 
-def _kept_offspring(sampler, p_prev, ell: int, rng, cap: int) -> list[int]:
-    """Offspring of a type-ell parent thinned by p_prev, conditioned nonzero."""
+def _kept_offspring(sampler, p_prev, ell: int, rng) -> list[int]:
+    """Offspring of a type-ell parent thinned by p_prev, conditioned nonzero.
+
+    Redraws until one child is kept, at most DEFAULT_REJECTION_CAP times.
+    """
     random = rng.random
-    for _ in range(cap):
+    for _ in range(DEFAULT_REJECTION_CAP):
         kept = [t for t in sampler(ell, rng) if random() < p_prev[t - 1]]
         if kept:
             return kept
     raise GuardError(
-        f"no surviving offspring of type {ell} within {cap} conditioning attempts"
+        f"no surviving offspring of type {ell} within {DEFAULT_REJECTION_CAP} "
+        "conditioning attempts"
     )
 
 
@@ -176,7 +180,6 @@ def sample_zeta(
     ell: int,
     rng,
     ordering: str | None = None,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> ZetaSample:
     """Offspring of a type-ell ancestor n generations back, kept if their
     progeny reaches generation 0, conditioned on at least one survivor."""
@@ -191,7 +194,7 @@ def sample_zeta(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
     sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
-    kept = _kept_offspring(sampler, p_rows[n - 1], ell, rng, rejection_cap)
+    kept = _kept_offspring(sampler, p_rows[n - 1], ell, rng)
     counts = np.zeros(k, dtype=np.int64)
     for t in kept:
         counts[t - 1] += 1
@@ -204,7 +207,6 @@ def sample_eta(
     ell: int,
     rng,
     ordering: str | None = None,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> tuple[tuple[int, ...], ...]:
     """Spine sample below a type-ell ancestor n generations back.
 
@@ -229,7 +231,7 @@ def sample_eta(
     levels: list[tuple[int, ...] | None] = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):
-        kept = _kept_offspring(sampler, p_rows[level - 1], parent_type, rng, rejection_cap)
+        kept = _kept_offspring(sampler, p_rows[level - 1], parent_type, rng)
         levels[level - 1] = tuple(kept)
         parent_type = kept[0]
     return tuple(levels)
@@ -240,7 +242,6 @@ def dchain_step(
     state: DState,
     rng,
     ordering: str | None = None,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> tuple[DState, int, tuple[int, ...]]:
     """One chain transition; returns (next state, A_i, lineage types).
 
@@ -256,9 +257,7 @@ def dchain_step(
         )
     shifted = state.levels[a - 1][1:]
     new_spine_type = shifted[0]
-    spine = sample_eta(
-        model, a - 1, new_spine_type, rng, ordering=ordering, rejection_cap=rejection_cap
-    )
+    spine = sample_eta(model, a - 1, new_spine_type, rng, ordering=ordering)
     # the spine gives a - 1 nonempty levels of sampled types, shifted is
     # nonempty because level a held two or more, and the rest carry over:
     # exactly horizon valid levels, so the state skips the checks
@@ -274,7 +273,6 @@ def init_quasistationary(
     rng,
     ordering: str | None = None,
     root_type: int = 1,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> DState:
     """Chain start at horizon T: the state of the leftmost standing
     individual of a depth-T tree with a type-`root_type` root, conditioned
@@ -288,9 +286,7 @@ def init_quasistationary(
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
-    levels = sample_eta(
-        model, T, root_type, rng, ordering=ordering, rejection_cap=rejection_cap
-    )
+    levels = sample_eta(model, T, root_type, rng, ordering=ordering)
     return DState._trusted(1, levels, T)
 
 

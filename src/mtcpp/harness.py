@@ -72,10 +72,10 @@ REPLICATES = 8
 class RunConfig:
     """Executable description of one harness invocation.
 
-    Exactly one model source must be set: a finite-support spec, LF
-    parameters, or the (g, p, h1, m) tuple of the two-type comparison
-    families.  `samples` counts independent replications for first-pair
-    statistics and chain transitions for stationary ones.
+    Exactly one model source must be set: `model` (a finite-support spec
+    or LF parameters), or the (g, p, h1, m) tuple of the two-type
+    comparison families.  `samples` counts independent replications for
+    first-pair statistics and chain transitions for stationary ones.
     """
 
     task: str
@@ -83,8 +83,7 @@ class RunConfig:
     out_dir: str
     samples: int = 10_000
     horizon: int = 20
-    model_spec: ModelSpec | None = None
-    lf_params: LFParams | None = None
+    model: ModelSpec | LFParams | None = None
     two_type: tuple[float, float, float, float] | None = None
     ordering: str | None = None
     root_type: int = 1
@@ -109,12 +108,13 @@ class RunConfig:
             raise SchemaError(f"horizon must be >= 1, got {self.horizon}")
         if self.n_max < 0:
             raise SchemaError(f"n_max must be >= 0, got {self.n_max}")
-        sources = [
-            s for s in (self.model_spec, self.lf_params, self.two_type) if s is not None
-        ]
-        if len(sources) != 1:
+        if self.model is not None and not isinstance(self.model, (ModelSpec, LFParams)):
             raise SchemaError(
-                f"exactly one model source required, got {len(sources)}"
+                f"model must be a ModelSpec or LFParams, got {type(self.model).__name__}"
+            )
+        if (self.model is None) == (self.two_type is None):
+            raise SchemaError(
+                "exactly one model source required: a model or the two_type block"
             )
         if self.task == "compare-two-type":
             if self.two_type is None:
@@ -128,15 +128,12 @@ class RunConfig:
             raise SchemaError(
                 f"unknown ordering {self.ordering!r}; choose from {forest.ORDERINGS}"
             )
-        if self.ordering == "lf_first" and self.model_spec is not None:
+        is_spec = isinstance(self.model, ModelSpec)
+        if self.ordering == "lf_first" and is_spec:
             raise SchemaError("ordering 'lf_first' needs linear-fractional parameters")
         if self.model is not None and not 1 <= self.root_type <= self.model.k:
             raise SchemaError(f"root_type {self.root_type} outside 1..{self.model.k}")
-        if (
-            self.task == "validate"
-            and self.model_spec is not None
-            and self.n_max > self.horizon - 1
-        ):
+        if self.task == "validate" and is_spec and self.n_max > self.horizon - 1:
             # validate on a finite-support model runs a_first; refuse before
             # the law table is built rather than after
             raise SchemaError(
@@ -145,12 +142,8 @@ class RunConfig:
             )
 
     @property
-    def model(self):
-        return self.model_spec if self.model_spec is not None else self.lf_params
-
-    @property
     def model_label(self) -> str:
-        return "spec" if self.model_spec is not None else "lf"
+        return "spec" if isinstance(self.model, ModelSpec) else "lf"
 
 
 @dataclass(frozen=True)
@@ -342,6 +335,15 @@ def _tail_rows(statistic, values, censored, T, n_max, analytic_fn):
     return rows
 
 
+def _exact_tail(model, ell: int | None, top: int | None, n: int) -> float:
+    """Exact P(depth > n) of A (ell None) or B_ell; finite-support laws
+    condition on the depth-n ancestor's type `top`, LF laws on none.  The
+    law functions are called by this module's names, which a tracer wraps."""
+    if isinstance(model, LFParams):
+        return lf_coalescence_law(model, n) if ell is None else lf_sametype_law(model, ell, n)
+    return A1_tail(model, top, n) if ell is None else B1_tail(model, ell, top, n)
+
+
 def mc_estimate(
     statistic: str,
     model,
@@ -415,7 +417,7 @@ def mc_estimate(
         return rows
 
     if statistic == "a_stationary" or statistic.startswith("b_stationary:"):
-        b_types = []
+        ell = None
         if statistic.startswith("b_stationary:"):
             try:
                 ell = int(statistic.split(":", 1)[1])
@@ -423,7 +425,7 @@ def mc_estimate(
                 raise SchemaError(f"bad statistic id {statistic!r}") from exc
             if not 1 <= ell <= model.k:
                 raise SchemaError(f"type index {ell} out of range 1..{model.k}")
-            b_types = [ell]
+        b_types = [] if ell is None else [ell]
         parts = _run_replicates(
             lambda count, rng: _stationary_tallies(
                 model, T, count, rng, ordering, root_type, b_types
@@ -432,17 +434,10 @@ def mc_estimate(
             statistic,
             samples,
         )
-        if b_types:
-            ell = b_types[0]
-            values = [v for p in parts for v in p[2][ell]]
-            censored = sum(p[3][ell] for p in parts)
-            analytic_fn = (
-                (lambda n: lf_sametype_law(model, ell, n)) if is_lf else None
-            )
-            return _tail_rows(statistic, values, censored, T, n_max, analytic_fn)
-        values = [v for p in parts for v in p[0]]
-        censored = sum(p[1] for p in parts)
-        analytic_fn = (lambda n: lf_coalescence_law(model, n)) if is_lf else None
+        # each part is (a_values, a_censored, b_values, b_censored)
+        values = [v for p in parts for v in (p[0] if ell is None else p[2][ell])]
+        censored = sum(p[1] if ell is None else p[3][ell] for p in parts)
+        analytic_fn = (lambda n: _exact_tail(model, ell, None, n)) if is_lf else None
         return _tail_rows(statistic, values, censored, T, n_max, analytic_fn)
 
     raise SchemaError(f"unknown statistic {statistic!r}")
@@ -498,70 +493,40 @@ def ks_to_csv(results: dict[str, KSResult]) -> str:
 
 
 def _law_table(cfg: RunConfig) -> LawTable:
+    """a_tail rows, then b_tail rows by ell: one loop over the start points.
+
+    On a finite-support model each row conditions on its depth-n ancestor's
+    type, so rows with different n condition on different events and do
+    not form a tail sequence of any one law; only LF tables are checked
+    for monotone tails.
+    """
+    model = cfg.model
+    is_lf = isinstance(model, LFParams)
     rows = []
-    label = cfg.model_label
-    if cfg.lf_params is not None:
-        params = cfg.lf_params
+    for ell in (None, *range(1, model.k + 1)):
         for n in range(cfg.n_max + 1):
-            rows.append(
-                LawRow(
-                    formula="a_tail",
-                    model=label,
-                    n=n,
-                    conditioning="",
-                    value=lf_coalescence_law(params, n),
-                )
-            )
-        for ell in range(1, params.k + 1):
-            for n in range(cfg.n_max + 1):
-                rows.append(
-                    LawRow(
-                        formula="b_tail",
-                        model=label,
-                        n=n,
-                        conditioning=f"ell={ell}",
-                        value=lf_sametype_law(params, ell, n),
-                    )
-                )
-        table = LawTable(rows=tuple(rows))
-        table.check_tails_monotone()
-        return table
-    spec = cfg.model_spec
-    for n in range(cfg.n_max + 1):
-        for top in range(1, spec.k + 1):
-            # the conditioning event names the ancestor depth: rows with
-            # different n condition on different events and do not form a
-            # tail sequence of any one law
-            try:
-                value = A1_tail(spec, top, n)
-            except ImpossibleConditioningError:
-                continue
-            rows.append(
-                LawRow(
-                    formula="a_tail",
-                    model=label,
-                    n=n,
-                    conditioning=f"anc@{n}={top}",
-                    value=value,
-                )
-            )
-    for ell in range(1, spec.k + 1):
-        for n in range(cfg.n_max + 1):
-            for top in range(1, spec.k + 1):
+            for top in (None,) if is_lf else range(1, model.k + 1):
                 try:
-                    value = B1_tail(spec, ell, top, n)
+                    value = _exact_tail(model, ell, top, n)
                 except ImpossibleConditioningError:
                     continue
+                conditioning = ",".join(
+                    ([] if ell is None else [f"ell={ell}"])
+                    + ([] if top is None else [f"anc@{n}={top}"])
+                )
                 rows.append(
                     LawRow(
-                        formula="b_tail",
-                        model=label,
+                        formula="a_tail" if ell is None else "b_tail",
+                        model=cfg.model_label,
                         n=n,
-                        conditioning=f"ell={ell},anc@{n}={top}",
+                        conditioning=conditioning,
                         value=value,
                     )
                 )
-    return LawTable(rows=tuple(rows))
+    table = LawTable(rows=tuple(rows))
+    if is_lf:
+        table.check_tails_monotone()
+    return table
 
 
 def _task_laws(cfg: RunConfig, out: dict) -> list[dict]:
@@ -579,9 +544,9 @@ def _task_laws(cfg: RunConfig, out: dict) -> list[dict]:
 def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
     checks = _task_laws(cfg, out)
     rows: list[EstimateRow] = []
-    if cfg.lf_params is not None:
+    if isinstance(cfg.model, LFParams):
         statistics = ["a_stationary"] + [
-            f"b_stationary:{ell}" for ell in range(1, cfg.lf_params.k + 1)
+            f"b_stationary:{ell}" for ell in range(1, cfg.model.k + 1)
         ]
     else:
         statistics = ["a_first"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardError, NumericConsistencyError, SchemaError
-from .model import ModelSpec
+from .model import ModelSpec, _is_json_int, _json_number, _orbit_start
 
 __all__ = [
     "LFParams",
@@ -62,6 +62,8 @@ class LFParams:
             raise SchemaError(f"H has shape {H.shape}, expected ({self.k},{self.k})")
         if g.shape != (self.k,):
             raise SchemaError(f"g has shape {g.shape}, expected ({self.k},)")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g)) and math.isfinite(self.m)):
+            raise SchemaError("H, g and m must be finite")
         if np.any(H < 0):
             raise SchemaError("H must be nonnegative")
         rows = H.sum(axis=1)
@@ -95,14 +97,25 @@ class LFParams:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"LF params are not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SchemaError("LF params JSON must be an object")
         for key in ("k", "H", "g", "m"):
             if key not in doc:
                 raise SchemaError(f"LF params JSON needs field {key!r}")
+        k, H, g = doc["k"], doc["H"], doc["g"]
+        if not _is_json_int(k) or k < 1:
+            raise SchemaError(f"'k' must be a positive integer, got {k!r}")
+        if not isinstance(H, list) or not all(
+            isinstance(row, list) and len(row) == k for row in H
+        ):
+            raise SchemaError(f"'H' must be a list of rows of {k} numbers, got {H!r}")
+        if not isinstance(g, list):
+            raise SchemaError(f"'g' must be a list of numbers, got {g!r}")
         return cls(
-            k=int(doc["k"]),
-            H=np.asarray(doc["H"], dtype=float),
-            g=np.asarray(doc["g"], dtype=float),
-            m=float(doc["m"]),
+            k=k,
+            H=np.array([[_json_number(x, "'H' entry") for x in row] for row in H]),
+            g=np.array([_json_number(x, "'g' entry") for x in g]),
+            m=_json_number(doc["m"], "'m'"),
         )
 
 
@@ -280,33 +293,42 @@ def lf_iterate(params: LFParams, n: int) -> LFIterates:
     return lf_iterate_sequence(params, n)[n]
 
 
+def _avoiding_h0(it: LFIterates, ell: int | None, k: int) -> np.ndarray:
+    """Per-type probability of no standing descendant it.n generations on
+    (of any type for A, ell None; of type ell for B_ell); the orbit start
+    at n = 0."""
+    if it.n == 0:
+        return _orbit_start(k, ell)
+    if ell is None:
+        return it.h0_n
+    shield = 1.0 / (1.0 + it.m_n * it.g_n[ell - 1])
+    return it.h0_n + (1.0 - it.h0_n - it.H_n[:, ell - 1]) * shield
+
+
+def _lf_tail(params: LFParams, ell: int | None, n: int) -> float:
+    """Tail of A (ell None) or B_ell: the product over `_avoiding_h0`
+    vectors must match 1/(1 + m^(n) w), w = 1 or g^(n)_ell, to 1e-9."""
+    its = lf_iterate_sequence(params, n)
+    m, g = params.m, params.g
+    prod = 1.0
+    for it in its[:n]:
+        prod /= 1.0 + m - m * float(g @ _avoiding_h0(it, ell, params.k))
+    weight = 1.0 if ell is None else its[n].g_n[ell - 1]
+    closed = float(1.0 / (1.0 + its[n].m_n * weight))
+    if abs(prod - closed) > CONSISTENCY_TOL:
+        raise NumericConsistencyError(
+            f"law routes disagree at n={n}, ell={ell}: product={prod!r} closed={closed!r}"
+        )
+    return closed
+
+
 def lf_coalescence_law(params: LFParams, n: int) -> float:
     """P(A_1 > n): no coalescence with the right neighbour within n generations.
 
     Computed both as the per-generation product over h0 iterates and as
     1/(1 + m^(n)); the two routes must agree to 1e-9.
     """
-    its = lf_iterate_sequence(params, n)
-    m, g = params.m, params.g
-    prod = 1.0
-    for np_ in range(1, n + 1):
-        prod /= 1.0 + m - m * float(g @ its[np_ - 1].h0_n)
-    closed = 1.0 / (1.0 + its[n].m_n)
-    if abs(prod - closed) > CONSISTENCY_TOL:
-        raise NumericConsistencyError(
-            f"coalescence law routes disagree at n={n}: product={prod!r} closed={closed!r}"
-        )
-    return closed
-
-
-def _sametype_h0(it: LFIterates, ell: int, k: int) -> np.ndarray:
-    """Type-ell-avoiding analogue of the h0 vector for one product factor."""
-    if it.n == 0:
-        out = np.ones(k)
-        out[ell - 1] = 0.0
-        return out
-    shield = 1.0 / (1.0 + it.m_n * it.g_n[ell - 1])
-    return it.h0_n + (1.0 - it.h0_n - it.H_n[:, ell - 1]) * shield
+    return _lf_tail(params, None, n)
 
 
 def lf_sametype_law(params: LFParams, ell: int, n: int) -> float:
@@ -316,19 +338,7 @@ def lf_sametype_law(params: LFParams, ell: int, n: int) -> float:
     1/(1 + m^(n) g^(n)_ell); agreement to 1e-9 asserted.
     """
     _check_type(params, ell)
-    its = lf_iterate_sequence(params, n)
-    m, g = params.m, params.g
-    prod = 1.0
-    for np_ in range(1, n + 1):
-        th0 = _sametype_h0(its[np_ - 1], ell, params.k)
-        prod /= 1.0 + m - m * float(g @ th0)
-    closed = float(1.0 / (1.0 + its[n].m_n * its[n].g_n[ell - 1]))
-    if abs(prod - closed) > CONSISTENCY_TOL:
-        raise NumericConsistencyError(
-            f"same-type law routes disagree at n={n}, ell={ell}: "
-            f"product={prod!r} closed={closed!r}"
-        )
-    return closed
+    return _lf_tail(params, ell, n)
 
 
 def lf_typefree_laws(h0: float, m: float, g, ell: int, n: int) -> tuple[float, float]:

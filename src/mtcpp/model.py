@@ -13,6 +13,7 @@ dump and CSV formats; the arrays underneath are 0-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,12 @@ class ModelSpec:
                 raise SchemaError(f"parent type {ell}: empty pmf")
             if np.any(z < 0) or not np.issubdtype(z.dtype, np.integer):
                 raise SchemaError(f"parent type {ell}: count-vectors must be nonnegative integers")
-            bad = np.flatnonzero(p < 0)
+            bad = np.flatnonzero((p < 0) | ~np.isfinite(p))
             if bad.size:
-                raise SchemaError(f"parent type {ell}, row {bad[0]}: negative probability")
+                raise SchemaError(
+                    f"parent type {ell}, row {bad[0]}: probability {p[bad[0]]!r} "
+                    "is negative or not finite"
+                )
             if abs(p.sum() - 1.0) > 1e-12:
                 raise SchemaError(
                     f"parent type {ell}: probabilities sum to {p.sum()!r}, not 1 within 1e-12"
@@ -170,28 +174,55 @@ class ModelSpec:
         if not isinstance(doc, dict) or "k" not in doc or "pmf" not in doc:
             raise SchemaError("model spec JSON needs 'k' and 'pmf' fields")
         k = doc["k"]
-        if not isinstance(k, int) or k < 1:
+        if not _is_json_int(k) or k < 1:
             raise SchemaError(f"'k' must be a positive integer, got {k!r}")
-        names = tuple(str(n) for n in doc.get("types", range(1, k + 1)))
+        names = doc.get("types", [str(ell) for ell in range(1, k + 1)])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SchemaError(f"'types' must be a list of names, got {names!r}")
+        if not isinstance(doc["pmf"], dict):
+            raise SchemaError(f"'pmf' must be an object keyed by parent type, got {doc['pmf']!r}")
         counts, probs = [], []
         for ell in range(1, k + 1):
             rows = doc["pmf"].get(str(ell))
             if rows is None:
                 raise SchemaError(f"parent type {ell}: missing from 'pmf'")
+            if not isinstance(rows, list):
+                raise SchemaError(f"parent type {ell}: rows must be a list, got {rows!r}")
             cs, ps = [], []
             for r, row in enumerate(rows):
-                if "counts" not in row or "p" not in row:
-                    raise SchemaError(f"parent type {ell}, row {r}: needs 'counts' and 'p'")
+                where = f"parent type {ell}, row {r}"
+                if not isinstance(row, dict) or "counts" not in row or "p" not in row:
+                    raise SchemaError(f"{where}: needs 'counts' and 'p'")
                 c = row["counts"]
-                if len(c) != k or any((not isinstance(x, int)) or x < 0 for x in c):
-                    raise SchemaError(
-                        f"parent type {ell}, row {r}: 'counts' must be {k} nonnegative integers"
-                    )
+                if (
+                    not isinstance(c, list)
+                    or len(c) != k
+                    or not all(_is_json_int(x) and x >= 0 for x in c)
+                ):
+                    raise SchemaError(f"{where}: 'counts' must be {k} nonnegative integers")
                 cs.append(c)
-                ps.append(float(row["p"]))
+                ps.append(_json_number(row["p"], f"{where}: 'p'"))
             counts.append(np.array(cs, dtype=np.int64).reshape(len(cs), k))
             probs.append(np.array(ps, dtype=np.float64))
-        return cls(k=k, counts=tuple(counts), probs=tuple(probs), names=names)
+        return cls(k=k, counts=tuple(counts), probs=tuple(probs), names=tuple(names))
+
+
+def _is_json_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number as a finite float; refuses strings, booleans, NaN and infinities."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -363,11 +394,17 @@ def complement_orbit(spec: ModelSpec, n: int, s) -> np.ndarray:
     return out
 
 
+def _orbit_start(k: int, ell: int | None) -> np.ndarray:
+    """Orbit start s whose complement rows are survival probabilities: 0 for
+    any descendant (the pair law A), 1 - e_ell for a type-ell one (B_ell)."""
+    return np.zeros(k) if ell is None else 1.0 - np.eye(k)[ell - 1]
+
+
 def survival_vector(spec: ModelSpec, n: int) -> np.ndarray:
     """Probability that one individual of each type has descendants n generations on."""
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    return complement_orbit(spec, n, np.zeros(spec.k))[n]
+    return complement_orbit(spec, n, _orbit_start(spec.k, None))[n]
 
 
 def type_survival_vector(spec: ModelSpec, n: int, ell: int) -> np.ndarray:
@@ -375,6 +412,4 @@ def type_survival_vector(spec: ModelSpec, n: int, ell: int) -> np.ndarray:
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
     _check_type(spec, ell)
-    e_hat = np.ones(spec.k)
-    e_hat[ell - 1] = 0.0
-    return complement_orbit(spec, n, e_hat)[n]
+    return complement_orbit(spec, n, _orbit_start(spec.k, ell))[n]

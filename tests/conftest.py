@@ -17,6 +17,18 @@ def e1() -> ModelSpec:
 
 
 @pytest.fixture
+def s3() -> ModelSpec:
+    """Subcritical three-type model (rho ~ 0.77) with one-step lineage changes."""
+    return ModelSpec.from_pmf(
+        {
+            1: {(0, 0, 0): 0.45, (1, 1, 0): 0.3, (0, 0, 1): 0.25},
+            2: {(0, 0, 0): 0.5, (1, 0, 0): 0.3, (0, 1, 1): 0.2},
+            3: {(0, 0, 0): 0.5, (0, 1, 0): 0.25, (1, 0, 1): 0.25},
+        }
+    )
+
+
+@pytest.fixture
 def lf1() -> LFParams:
     """Supercritical two-type LF fixture."""
     return LFParams(

@@ -697,15 +697,15 @@ def _dir_digest(path) -> str:
 
 def test_c12_seeded_reruns_are_byte_identical(tmp_path):
     base = {
-        "laws": dict(task="laws", seed=41, model_spec=E1, n_max=3, horizon=6),
+        "laws": dict(task="laws", seed=41, model=E1, n_max=3, horizon=6),
         "validate": dict(
-            task="validate", seed=42, lf_params=LF1, samples=2500, horizon=12, n_max=4
+            task="validate", seed=42, model=LF1, samples=2500, horizon=12, n_max=4
         ),
-        "simulate": dict(task="simulate", seed=43, model_spec=E1, samples=25, horizon=8),
+        "simulate": dict(task="simulate", seed=43, model=E1, samples=25, horizon=8),
         "two-type": dict(
             task="compare-two-type", seed=44, two_type=(0.3, 0.7, 0.5, 1.0), n_max=8
         ),
-        "dchain": dict(task="dchain", seed=45, model_spec=E1, samples=1200, horizon=6),
+        "dchain": dict(task="dchain", seed=45, model=E1, samples=1200, horizon=6),
     }
     bad = []
     for name, kwargs in base.items():

@@ -40,18 +40,6 @@ def single() -> ModelSpec:
 
 
 @pytest.fixture
-def s3() -> ModelSpec:
-    """Subcritical three-type model (rho ~ 0.77) with one-step lineage changes."""
-    return ModelSpec.from_pmf(
-        {
-            1: {(0, 0, 0): 0.45, (1, 1, 0): 0.3, (0, 0, 1): 0.25},
-            2: {(0, 0, 0): 0.5, (1, 0, 0): 0.3, (0, 1, 1): 0.2},
-            3: {(0, 0, 0): 0.5, (0, 1, 0): 0.25, (1, 0, 1): 0.25},
-        }
-    )
-
-
-@pytest.fixture
 def small3() -> ModelSpec:
     return ModelSpec.from_pmf(
         {

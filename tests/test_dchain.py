@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mtcpp import dchain
 from mtcpp.analytics import joint_A1_law
 from mtcpp.dchain import (
-    DEFAULT_REJECTION_CAP,
     DState,
     _kept_offspring,
     _survival_rows,
@@ -20,6 +20,7 @@ from mtcpp.dchain import (
 )
 from mtcpp.errors import (
     CensoredError,
+    GuardError,
     ImpossibleConditioningError,
     InconsistentStateError,
     SchemaError,
@@ -136,6 +137,30 @@ def test_zeta_rejects_bad_args(e1):
 
 
 # -- eta --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("draw", ["zeta", "eta"])
+def test_conditioned_offspring_stops_at_the_rejection_cap(draw, e1, monkeypatch):
+    # survival rows that let the type-1 ancestor survive but keep none of
+    # its children: every redraw comes back empty until the cap stops it
+    monkeypatch.setitem(dchain._SURVIVAL_ROWS, e1, [[0.0, 0.0], [1.0, 1.0]])
+    monkeypatch.setattr(dchain, "DEFAULT_REJECTION_CAP", 7)
+    calls = []
+
+    def counting_sampler(model, ordering):
+        sampler = _offspring_sampler(model, ordering)
+
+        def draw_offspring(ell, rng):
+            calls.append(ell)
+            return sampler(ell, rng)
+
+        return draw_offspring
+
+    monkeypatch.setattr(dchain, "_offspring_sampler", counting_sampler)
+    fn = sample_zeta if draw == "zeta" else sample_eta
+    with pytest.raises(GuardError, match="type 1 within 7 conditioning attempts"):
+        fn(e1, 1, 1, stream(17, "cap", draw))
+    assert calls == [1] * 7
 
 
 def test_eta_depth1_matches_zeta(rich2):
@@ -255,9 +280,7 @@ def _reference_sample_eta(model, n, ell, rng, ordering):
     levels = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):
-        kept = _kept_offspring(
-            sampler, p_rows[level - 1], parent_type, rng, DEFAULT_REJECTION_CAP
-        )
+        kept = _kept_offspring(sampler, p_rows[level - 1], parent_type, rng)
         levels[level - 1] = tuple(kept)
         parent_type = kept[0]
     return tuple(levels)

@@ -9,10 +9,11 @@ import hashlib
 import pytest
 
 from mtcpp.harness import RunConfig, run
-from mtcpp.model import ModelSpec
 
-#: label -> (task, model fixture, settings)
+#: label -> (task, model fixture or None, settings)
 JOBS = {
+    "laws-s3": ("laws", "s3", dict(n_max=10)),
+    "compare-two-type": ("compare-two-type", None, dict(two_type=(0.3, 0.7, 0.5, 1.0), n_max=8)),
     "validate-lf": ("validate", "lf1", dict(samples=2000, horizon=8, n_max=3)),
     "validate-e1": ("validate", "e1", dict(samples=2000, horizon=6, n_max=3)),
     "simulate-lf-1": ("simulate", "lf1", dict(samples=1, horizon=6)),
@@ -21,10 +22,18 @@ JOBS = {
 }
 
 GOLDEN = {
+    "compare-two-type": {
+        "compare.csv": "ef126cf1a072b22c22cc3067824e80143c37bae0be6d4c2fb9eea928c7beaaa4",
+        "report.json": "dc09c42b9afbe180b5695d7c8ff12b89725243ca5887dce983d4c4269eb8e7a0",
+    },
     "dchain-e1": {
         "compare.csv": "34fc6db26c70cf86afce2c773ae5a6cacd9f684e47ad7db6f5b239d26c0e3ba0",
         "estimates.csv": "8108981c40d61d4d3ecc4ea1f38114005d083988ce94b74ba6f17ae81dd075b8",
         "report.json": "0858b484394fb69c0bde3127e1f480243d5fbd965c5a52eebdb7f5e25295f13e",
+    },
+    "laws-s3": {
+        "laws.csv": "d1c2806693469f2cf4e2d91fe06802ce66a2181f4c79786e9bdbd0fad271592a",
+        "report.json": "3f84bbad8c8036d8d40352f1b0674cd11fd68a8172a4843a27c47b0056a191c7",
     },
     "simulate-lf-1": {
         "records.csv": "1cf3f21569fd9a361146494a31244e958a3cdc8d105684637f0a4d23a9d8265a",
@@ -59,10 +68,7 @@ def _digests(out_dir):
 @pytest.mark.parametrize("label", sorted(JOBS))
 def test_output_bytes_are_pinned(label, request, tmp_path):
     task, fixture, settings = JOBS[label]
-    model = request.getfixturevalue(fixture)
-    source = "model_spec" if isinstance(model, ModelSpec) else "lf_params"
-    cfg = RunConfig(
-        task=task, seed=20261018, out_dir=str(tmp_path), **{source: model}, **settings
-    )
+    model = None if fixture is None else request.getfixturevalue(fixture)
+    cfg = RunConfig(task=task, seed=20261018, out_dir=str(tmp_path), model=model, **settings)
     assert run(cfg) == 0
     assert _digests(tmp_path) == GOLDEN[label]

@@ -25,6 +25,7 @@ from mtcpp.harness import (
     run,
 )
 from mtcpp.lf import LFParams, lf_coalescence_law, lf_sametype_law
+from mtcpp.model import ModelSpec
 from mtcpp.rng import stream
 
 
@@ -52,33 +53,37 @@ def _assert_error_report(out_dir, err, cls, status, outputs=("report.json",)):
 
 def test_config_rejects_unknown_task(lf1):
     with pytest.raises(SchemaError, match="task"):
-        RunConfig(task="explore", seed=1, out_dir="x", lf_params=lf1)
+        RunConfig(task="explore", seed=1, out_dir="x", model=lf1)
 
 
 def test_config_rejects_bad_counts(lf1):
     with pytest.raises(SchemaError, match="samples"):
-        RunConfig(task="laws", seed=1, out_dir="x", lf_params=lf1, samples=0)
+        RunConfig(task="laws", seed=1, out_dir="x", model=lf1, samples=0)
     with pytest.raises(SchemaError, match="horizon"):
-        RunConfig(task="laws", seed=1, out_dir="x", lf_params=lf1, horizon=0)
+        RunConfig(task="laws", seed=1, out_dir="x", model=lf1, horizon=0)
     with pytest.raises(SchemaError, match="seed"):
-        RunConfig(task="laws", seed=-1, out_dir="x", lf_params=lf1)
+        RunConfig(task="laws", seed=-1, out_dir="x", model=lf1)
 
 
-def test_config_needs_exactly_one_model_source(e1, lf1):
+def test_config_needs_exactly_one_model_source(e1):
     with pytest.raises(SchemaError, match="model source"):
         RunConfig(task="laws", seed=1, out_dir="x")
     with pytest.raises(SchemaError, match="model source"):
-        RunConfig(task="laws", seed=1, out_dir="x", model_spec=e1, lf_params=lf1)
+        RunConfig(
+            task="laws", seed=1, out_dir="x", model=e1, two_type=(0.3, 0.7, 0.5, 1.0)
+        )
+    with pytest.raises(SchemaError, match="model must be a ModelSpec or LFParams"):
+        RunConfig(task="laws", seed=1, out_dir="x", model=e1.to_json())
 
 
 def test_config_refuses_first_pair_rows_past_horizon(e1, lf1):
     # validate on a finite-support model runs a_first, which needs
     # n_max <= horizon - 1; the refusal comes before any work
     with pytest.raises(SchemaError, match="n_max <= horizon - 1"):
-        RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, horizon=3, n_max=3)
-    RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, horizon=4, n_max=3)
-    RunConfig(task="laws", seed=1, out_dir="x", model_spec=e1, horizon=3, n_max=3)
-    RunConfig(task="validate", seed=1, out_dir="x", lf_params=lf1, horizon=3, n_max=3)
+        RunConfig(task="validate", seed=1, out_dir="x", model=e1, horizon=3, n_max=3)
+    RunConfig(task="validate", seed=1, out_dir="x", model=e1, horizon=4, n_max=3)
+    RunConfig(task="laws", seed=1, out_dir="x", model=e1, horizon=3, n_max=3)
+    RunConfig(task="validate", seed=1, out_dir="x", model=lf1, horizon=3, n_max=3)
 
 
 def _refused_by_cli(tmp_path, capsys, model_flag, model, argv, message):
@@ -97,7 +102,7 @@ def _refused_by_cli(tmp_path, capsys, model_flag, model, argv, message):
 def test_config_refuses_unknown_ordering(tmp_path, capsys, lf1):
     message = "unknown ordering 'leftmost'"
     with pytest.raises(SchemaError, match=message):
-        RunConfig(task="dchain", seed=1, out_dir="x", lf_params=lf1, ordering="leftmost")
+        RunConfig(task="dchain", seed=1, out_dir="x", model=lf1, ordering="leftmost")
     # argparse limits --ordering, so the config file is the way in
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"ordering": "leftmost"}))
@@ -110,17 +115,17 @@ def test_config_refuses_lf_first_on_finite_support(tmp_path, capsys, e1, lf1):
     message = "ordering 'lf_first' needs linear-fractional parameters"
     for task in ("validate", "simulate", "dchain"):
         with pytest.raises(SchemaError, match=message):
-            RunConfig(task=task, seed=1, out_dir="x", model_spec=e1, ordering="lf_first")
+            RunConfig(task=task, seed=1, out_dir="x", model=e1, ordering="lf_first")
     _refused_by_cli(
         tmp_path, capsys, "--model-spec", e1,
         ["validate", "--ordering", "lf_first"], message,
     )
-    RunConfig(task="validate", seed=1, out_dir="x", lf_params=lf1, ordering="lf_first")
-    RunConfig(task="validate", seed=1, out_dir="x", model_spec=e1, ordering="uniform")
+    RunConfig(task="validate", seed=1, out_dir="x", model=lf1, ordering="lf_first")
+    RunConfig(task="validate", seed=1, out_dir="x", model=e1, ordering="uniform")
 
 
 def test_config_refuses_root_type_outside_types(tmp_path, capsys, e1, lf1):
-    for model in ({"model_spec": e1}, {"lf_params": lf1}):
+    for model in ({"model": e1}, {"model": lf1}):
         for root_type in (0, 3):
             with pytest.raises(SchemaError, match=f"root_type {root_type} outside 1..2"):
                 RunConfig(task="dchain", seed=1, out_dir="x", root_type=root_type, **model)
@@ -148,7 +153,7 @@ def test_config_refuses_wrong_value_types(tmp_path, capsys, lf1, key, value, mes
     field = "out_dir" if key == "out" else key
     settings = {"seed": 1, "out_dir": "x", field: value}
     with pytest.raises(SchemaError, match=re.escape(message)):
-        RunConfig(task="laws", lf_params=lf1, **settings)
+        RunConfig(task="laws", model=lf1, **settings)
     # a config file passes JSON values through unconverted
     out = tmp_path / "out"
     doc = {"model": {"lf": json.loads(lf1.to_json())}, "seed": 1, "out": str(out)}
@@ -159,6 +164,74 @@ def test_config_refuses_wrong_value_types(tmp_path, capsys, lf1, key, value, mes
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith(f"mtcpp: {message}")
     assert not out.exists()
+
+
+#: (model kind, path into the model JSON, raw JSON put there, refusal message)
+_BAD_MODEL_VALUES = [
+    ("lf", ("m",), '"abc"', "'m' must be a number, got 'abc'"),
+    ("lf", ("m",), '"1.5"', "'m' must be a number, got '1.5'"),
+    ("lf", ("m",), "NaN", "'m' must be finite, got nan"),
+    ("lf", ("m",), "1e999", "'m' must be finite, got inf"),
+    ("lf", ("k",), '"2"', "'k' must be a positive integer, got '2'"),
+    ("lf", ("k",), "2.7", "'k' must be a positive integer, got 2.7"),
+    ("lf", ("k",), "true", "'k' must be a positive integer, got True"),
+    ("lf", ("H",), "[[0.3, 0.4], [0.2]]", "'H' must be a list of rows of 2 numbers"),
+    ("lf", ("H", 0, 0), '"0.3"', "'H' entry must be a number, got '0.3'"),
+    ("lf", ("g", 1), "true", "'g' entry must be a number, got True"),
+    ("lf", ("g",), "0.5", "'g' must be a list of numbers, got 0.5"),
+    ("spec", ("pmf", "1", 0, "p"), '"x"', "parent type 1, row 0: 'p' must be a number"),
+    ("spec", ("pmf", "1", 0, "p"), "true", "parent type 1, row 0: 'p' must be a number"),
+    ("spec", ("pmf", "1", 0, "p"), "NaN", "parent type 1, row 0: 'p' must be finite"),
+    ("spec", ("pmf", "2", 1, "p"), "1e999", "parent type 2, row 1: 'p' must be finite"),
+    ("spec", ("pmf", "1", 1, "counts"), "[true, 1]", "row 1: 'counts' must be 2 nonnegative"),
+    ("spec", ("pmf", "1", 1, "counts"), "[1.0, 1]", "row 1: 'counts' must be 2 nonnegative"),
+    ("spec", ("pmf", "2", 0), "5", "parent type 2, row 0: needs 'counts' and 'p'"),
+    ("spec", ("pmf", "2"), '{"counts": [0, 0], "p": 1}', "parent type 2: rows must be a list"),
+    ("spec", ("pmf",), "[1]", "'pmf' must be an object keyed by parent type"),
+    ("spec", ("k",), "true", "'k' must be a positive integer, got True"),
+    ("spec", ("types",), '"ab"', "'types' must be a list of names"),
+]
+
+
+def _model_json_with(model, path, raw) -> str:
+    """The model's JSON with the value at `path` replaced by raw JSON text."""
+    doc = json.loads(model.to_json())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@@bad@@"
+    return json.dumps(doc).replace('"@@bad@@"', raw)
+
+
+@pytest.mark.parametrize("kind,path,raw,message", _BAD_MODEL_VALUES)
+def test_model_json_refuses_wrong_values(tmp_path, capsys, e1, lf1, kind, path, raw, message):
+    model = lf1 if kind == "lf" else e1
+    text = _model_json_with(model, path, raw)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        type(model).from_json(text)
+    # the same model block in a config file: refused before any work
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(f'{{"model": {{"{kind}": {text}}}, "seed": 1, "out": "{out}"}}')
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--config", str(config)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: ") and message in err
+    assert not out.exists()
+
+
+def test_model_constructors_refuse_non_finite_values(e1, lf1):
+    with pytest.raises(SchemaError, match="not finite"):
+        ModelSpec(
+            k=2,
+            counts=e1.counts,
+            probs=(np.array([0.5, np.nan]), e1.probs[1]),
+            names=e1.names,
+        )
+    for field, value in (("m", np.inf), ("g", np.array([0.4, np.nan]))):
+        with pytest.raises(SchemaError, match="must be finite"):
+            replace(lf1, **{field: value})
 
 
 def test_config_refuses_non_numeric_two_type(tmp_path, capsys):
@@ -172,6 +245,17 @@ def test_config_refuses_non_numeric_two_type(tmp_path, capsys):
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("mtcpp: config 'two_type' values must be numbers")
+        assert not out.exists()
+    # NaN and Infinity are JSON numbers to Python's parser; refused here too
+    for m in ("NaN", "Infinity"):
+        path.write_text(
+            f'{{"two_type": {{"g": 0.3, "p": 0.5, "h1": 0.3, "m": {m}}}, '
+            f'"seed": 1, "out": "{out}"}}'
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-two-type", "--config", str(path)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("mtcpp: config 'two_type' values must be finite")
         assert not out.exists()
 
 
@@ -196,7 +280,7 @@ def test_cli_refuses_removed_init_mode(tmp_path, capsys, e1):
 
 def test_config_two_type_pairing(lf1):
     with pytest.raises(SchemaError):
-        RunConfig(task="compare-two-type", seed=1, out_dir="x", lf_params=lf1)
+        RunConfig(task="compare-two-type", seed=1, out_dir="x", model=lf1)
     with pytest.raises(SchemaError):
         RunConfig(task="laws", seed=1, out_dir="x", two_type=(0.3, 0.7, 0.5, 1.0))
 
@@ -316,7 +400,7 @@ def test_ks_conservative_critical_value():
 
 def test_laws_task_depth_zero_rows_are_one(lf1, tmp_path):
     cfg = RunConfig(
-        task="laws", seed=2, out_dir=str(tmp_path), lf_params=lf1, n_max=3
+        task="laws", seed=2, out_dir=str(tmp_path), model=lf1, n_max=3
     )
     assert run(cfg) == 0
     lines = (tmp_path / "laws.csv").read_text().splitlines()
@@ -328,7 +412,7 @@ def test_laws_task_depth_zero_rows_are_one(lf1, tmp_path):
 
 def test_laws_task_spec_names_conditioning(e1, tmp_path):
     cfg = RunConfig(
-        task="laws", seed=2, out_dir=str(tmp_path), model_spec=e1, n_max=2
+        task="laws", seed=2, out_dir=str(tmp_path), model=e1, n_max=2
     )
     assert run(cfg) == 0
     text = (tmp_path / "laws.csv").read_text()
@@ -344,7 +428,7 @@ def test_validate_task_passes_and_reports(lf1, tmp_path):
         task="validate",
         seed=7,
         out_dir=str(tmp_path),
-        lf_params=lf1,
+        model=lf1,
         samples=4000,
         horizon=9,
         n_max=3,
@@ -366,7 +450,7 @@ def test_validate_task_failure_exits_3_with_report(e1, tmp_path, monkeypatch, ca
         task="validate",
         seed=7,
         out_dir=str(tmp_path),
-        model_spec=e1,
+        model=e1,
         samples=2000,
         horizon=6,
         n_max=2,
@@ -384,7 +468,7 @@ def test_simulate_task_outputs(e1, tmp_path):
         task="simulate",
         seed=13,
         out_dir=str(tmp_path),
-        model_spec=e1,
+        model=e1,
         samples=40,
         horizon=6,
     )
@@ -486,7 +570,7 @@ def test_dchain_task_chain_matches_forest(e1, tmp_path):
         task="dchain",
         seed=21,
         out_dir=str(tmp_path),
-        model_spec=e1,
+        model=e1,
         samples=3000,
         horizon=8,
         n_max=3,
@@ -503,7 +587,7 @@ def test_run_is_deterministic_and_thread_invariant(lf1, tmp_path):
         task="validate",
         seed=42,
         out_dir="unused",
-        lf_params=lf1,
+        model=lf1,
         samples=3000,
         horizon=8,
         n_max=3,
@@ -520,8 +604,8 @@ def test_run_is_deterministic_and_thread_invariant(lf1, tmp_path):
 def test_default_ordering_is_the_models_own(task, e1, lf1, tmp_path):
     # no ordering means lf_first for LF parameters and uniform for a spec
     for name, model, orderings in (
-        ("lf", {"lf_params": lf1}, ["lf_first", "uniform"]),
-        ("spec", {"model_spec": e1}, ["uniform"]),
+        ("lf", {"model": lf1}, ["lf_first", "uniform"]),
+        ("spec", {"model": e1}, ["uniform"]),
     ):
         digests = []
         for ordering in [None] + orderings:
@@ -555,7 +639,7 @@ def test_run_maps_guard_breach_to_exit_2(tmp_path, monkeypatch, capsys):
         forest, "simulate_standing", partial(forest.simulate_standing, node_cap=2000)
     )
     cfg = RunConfig(
-        task="simulate", seed=3, out_dir=str(tmp_path), model_spec=_explosive(), horizon=8
+        task="simulate", seed=3, out_dir=str(tmp_path), model=_explosive(), horizon=8
     )
     assert run(cfg) == 2
     err = capsys.readouterr().err
@@ -567,7 +651,7 @@ def test_laws_task_exact_on_explosive_model(tmp_path):
     # the Jacobian-product laws need no population-size truncation, so the
     # explosive model that outgrows any count-vector table tabulates fine
     cfg = RunConfig(
-        task="laws", seed=3, out_dir=str(tmp_path), model_spec=_explosive(), n_max=5
+        task="laws", seed=3, out_dir=str(tmp_path), model=_explosive(), n_max=5
     )
     assert run(cfg) == 0
     rows = (tmp_path / "laws.csv").read_text().splitlines()[1:]
@@ -585,7 +669,7 @@ def test_run_maps_impossible_model_to_exit_1(tmp_path, capsys):
         task="dchain",
         seed=3,
         out_dir=str(tmp_path),
-        model_spec=doomed,
+        model=doomed,
         samples=50,
         horizon=4,
     )
@@ -616,7 +700,7 @@ def test_run_maps_route_disagreement_to_exit_3(tmp_path, monkeypatch, capsys):
 def test_run_maps_write_failure_to_exit_4_without_report(lf1, tmp_path, capsys):
     # a directory where laws.csv belongs makes the first write fail
     (tmp_path / "laws.csv").mkdir()
-    cfg = RunConfig(task="laws", seed=1, out_dir=str(tmp_path), lf_params=lf1, n_max=2)
+    cfg = RunConfig(task="laws", seed=1, out_dir=str(tmp_path), model=lf1, n_max=2)
     assert run(cfg) == 4
     assert capsys.readouterr().err.startswith("mtcpp: IsADirectoryError: ")
     assert os.listdir(tmp_path) == ["laws.csv"]
@@ -642,7 +726,7 @@ def test_cli_builds_config_with_overrides(tmp_path, lf1):
     assert cfg.horizon == 7
     assert cfg.seed == 5
     assert cfg.out_dir == str(tmp_path / "o")
-    assert cfg.lf_params is not None
+    assert isinstance(cfg.model, LFParams)
 
 
 def test_cli_rejects_two_model_sources(tmp_path, lf1):
