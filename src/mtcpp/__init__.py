@@ -6,7 +6,7 @@ Modules by concern:
 - `lf`: the linear-fractional parametric class and its closed-form laws
 - `forest`: planar tree simulation and coalescent extraction
 - `dchain`: the reduced ancestry chain over surviving-offspring states
-- `analytics`: exact law evaluation, enumeration oracles, and diagnostics
+- `analytics`: exact first-pair laws and the law table
 - `harness`: run configuration, Monte Carlo drivers, validation and emission
 - `cli`: the command-line entry point
 """

@@ -28,39 +28,19 @@ from .errors import (
     InconsistentStateError,
     SchemaError,
 )
-from .forest import (
-    DEFAULT_REJECTION_CAP,
-    PlanarTree,
-    _offspring_sampler,
-    _resolve_ordering,
-)
+from .forest import DEFAULT_REJECTION_CAP, PlanarTree, _offspring_sampler
 from .lf import lf_pgf
-from .model import ModelSpec, pgf_eval_all
+from .model import ModelSpec, _is_json_int, pgf_eval_all
 from . import forest as _forest
 
 __all__ = [
-    "ZetaSample",
     "DState",
-    "sample_zeta",
     "sample_eta",
     "dchain_step",
     "init_quasistationary",
     "extract_dstates",
     "reconstruct_tree",
 ]
-
-@dataclass(frozen=True, eq=False)
-class ZetaSample:
-    """Surviving offspring of one ancestor, conditioned on at least one."""
-
-    counts: np.ndarray
-    ordered: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if int(self.counts.sum()) < 1:
-            raise SchemaError("conditioned offspring sample cannot be empty")
-        if len(self.ordered) != int(self.counts.sum()):
-            raise SchemaError("ordered list length does not match counts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +49,8 @@ class DState:
 
     States are checked where they enter: the constructor and `from_json`
     refuse a horizon below 1, a level count other than the horizon, an
-    empty level and a type index below 1.  `dchain_step` and
+    empty level and a type index below 1, and `from_json` also refuses
+    any field that is not the right JSON kind.  `dchain_step` and
     `init_quasistationary` build their states through the unchecked
     `_trusted`, because their levels are valid by construction (every
     level is a nonempty list of sampled types in 1..k, exactly `horizon`
@@ -121,13 +102,23 @@ class DState:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"state is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SchemaError(f"state JSON must be an object, got {doc!r}")
         for key in ("i", "T", "levels"):
             if key not in doc:
                 raise SchemaError(f"state JSON needs field {key!r}")
+        for key in ("i", "T"):
+            if not _is_json_int(doc[key]):
+                raise SchemaError(f"state field {key!r} must be an integer, got {doc[key]!r}")
+        levels = doc["levels"]
+        if not isinstance(levels, list) or not all(
+            isinstance(lvl, list) and all(_is_json_int(t) for t in lvl) for lvl in levels
+        ):
+            raise SchemaError(f"state field 'levels' must be lists of integers, got {levels!r}")
         return cls(
-            i=int(doc["i"]),
-            levels=tuple(tuple(int(t) for t in lvl) for lvl in doc["levels"]),
-            horizon=int(doc["T"]),
+            i=doc["i"],
+            levels=tuple(tuple(lvl) for lvl in levels),
+            horizon=doc["T"],
         )
 
 
@@ -139,7 +130,7 @@ def _survival_rows(model, n: int) -> list[list[float]]:
 
     Python float rows, at least n + 1 of them, memoized per model instance
     and extended only when a deeper n is asked for; the rows sit in every
-    zeta and spine draw's inner loop and are a pure function of the
+    spine draw's inner loop and are a pure function of the
     offspring law.
     """
     rows = _SURVIVAL_ROWS.get(model)
@@ -174,33 +165,6 @@ def _kept_offspring(sampler, p_prev, ell: int, rng) -> list[int]:
     )
 
 
-def sample_zeta(
-    model,
-    n: int,
-    ell: int,
-    rng,
-    ordering: str | None = None,
-) -> ZetaSample:
-    """Offspring of a type-ell ancestor n generations back, kept if their
-    progeny reaches generation 0, conditioned on at least one survivor."""
-    if n < 1:
-        raise SchemaError(f"lookback depth must be >= 1, got {n}")
-    k = model.k
-    if not 1 <= ell <= k:
-        raise SchemaError(f"type {ell} outside 1..{k}")
-    p_rows = _survival_rows(model, n)
-    if p_rows[n][ell - 1] <= 0.0:
-        raise ImpossibleConditioningError(
-            f"type {ell} cannot have surviving progeny {n} generations on"
-        )
-    sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
-    kept = _kept_offspring(sampler, p_rows[n - 1], ell, rng)
-    counts = np.zeros(k, dtype=np.int64)
-    for t in kept:
-        counts[t - 1] += 1
-    return ZetaSample(counts=counts, ordered=tuple(kept))
-
-
 def sample_eta(
     model,
     n: int,
@@ -211,9 +175,9 @@ def sample_eta(
     """Spine sample below a type-ell ancestor n generations back.
 
     Returns n levels; position j holds level j + 1.  Level n is the
-    conditioned surviving offspring of the ancestor, and the type of each
-    level's first entry parents the level below it.  Every level is a
-    nonempty tuple of sampled types.
+    ancestor's offspring that have standing progeny, conditioned on at
+    least one, and the type of each level's first entry parents the level
+    below it.  Every level is a nonempty tuple of sampled types.
     """
     if n < 0:
         raise SchemaError(f"spine depth must be >= 0, got {n}")
@@ -227,7 +191,7 @@ def sample_eta(
         raise ImpossibleConditioningError(
             f"type {ell} cannot have surviving progeny {n} generations on"
         )
-    sampler = _offspring_sampler(model, _resolve_ordering(model, ordering))
+    sampler = _offspring_sampler(model, ordering)
     levels: list[tuple[int, ...] | None] = [None] * n
     parent_type = ell
     for level in range(n, 0, -1):

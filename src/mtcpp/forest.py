@@ -24,12 +24,10 @@ from .model import ModelSpec
 
 __all__ = [
     "PlanarTree",
-    "StandingPopulation",
     "CoalescentRecord",
     "CoalescentRecords",
     "simulate_forward",
     "simulate_standing",
-    "standing_population",
     "ancestor_index",
     "coalescence_times",
     "pairwise_coalescence",
@@ -146,20 +144,6 @@ class PlanarTree:
 
 
 @dataclass(frozen=True, eq=False)
-class StandingPopulation:
-    """Generation-0 individuals in planar left-to-right order."""
-
-    individuals: tuple[tuple[int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.individuals)
-
-    def types(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.individuals)
-
-
-@dataclass(frozen=True, eq=False)
 class CoalescentRecord:
     """Coalescence data of the standing pair (i, i+1).
 
@@ -184,14 +168,14 @@ class CoalescentRecord:
         return self.a is None
 
 
-def _resolve_ordering(model: Model, ordering: str | None) -> str:
-    """`ordering`, or the model's default when none is given: 'lf_first'
-    for linear-fractional parameters, 'uniform' for finite-support specs."""
-    return ordering or ("lf_first" if isinstance(model, LFParams) else "uniform")
+def _offspring_sampler(model: Model, ordering: str | None):
+    """Return a callable (type, rng) -> ordered 1-based offspring type list.
 
-
-def _offspring_sampler(model: Model, ordering: str):
-    """Return a callable (type, rng) -> ordered 1-based offspring type list."""
+    ordering None picks the model's default: 'lf_first' for
+    linear-fractional parameters, 'uniform' for finite-support specs.
+    """
+    if ordering is None:
+        ordering = "lf_first" if isinstance(model, LFParams) else "uniform"
     if ordering not in ORDERINGS:
         raise SchemaError(f"unknown ordering {ordering!r}")
     if isinstance(model, LFParams):
@@ -226,10 +210,6 @@ def _offspring_sampler(model: Model, ordering: str):
         return out
 
     return sample_spec
-
-
-def _model_k(model: Model) -> int:
-    return model.k
 
 
 def _simulate_layers(sample, root_type: int, depth: int, rng, node_cap: int):
@@ -281,7 +261,7 @@ def simulate_forward(
     """
     if depth < 1:
         raise SchemaError(f"depth must be >= 1, got {depth}")
-    k = _model_k(model)
+    k = model.k
     if not 1 <= root_type <= k:
         raise SchemaError(f"root type {root_type} outside 1..{k}")
     sample = _offspring_sampler(model, ordering)
@@ -318,7 +298,7 @@ def simulate_standing(
     T: int,
     target_width: int,
     rng,
-    ordering: str = "uniform",
+    ordering: str | None = None,
     root_type: int = 1,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
@@ -330,12 +310,13 @@ def simulate_standing(
     side in draw order: the result is a planar forest with one root per
     survivor, or the first surviving tree itself when it is wide enough
     alone.  The rejections field counts the discarded extinct attempts.
+    ordering None takes the model's default planar order, as the chain does.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
     if target_width < 1:
         raise SchemaError(f"target width must be >= 1, got {target_width}")
-    k = _model_k(model)
+    k = model.k
     if not 1 <= root_type <= k:
         raise SchemaError(f"root type {root_type} outside 1..{k}")
     sample = _offspring_sampler(model, ordering)
@@ -357,14 +338,6 @@ def simulate_standing(
         got += tree.width
         if got >= target_width:
             return tree if len(survivors) == 1 else _concat_trees(survivors, rejections)
-
-
-def standing_population(tree: PlanarTree) -> StandingPopulation:
-    """Generation-0 individuals of the tree, left to right."""
-    t = tree.types[-1]
-    return StandingPopulation(
-        individuals=tuple((i + 1, int(t[i])) for i in range(len(t)))
-    )
 
 
 def ancestor_index(tree: PlanarTree, i: int, n: int) -> int:
@@ -532,33 +505,13 @@ def dump_tree(tree: PlanarTree) -> str:
     return "".join(layers)
 
 
-def _pack_records(records: Sequence[CoalescentRecord]):
-    """(i, a, mass, lineage) arrays of plain records; a is 0 when censored."""
-    n = len(records)
-    i = np.array([r.i for r in records], dtype=np.int64)
-    a = np.array([r.a or 0 for r in records], dtype=np.int64)
-    mass = np.array([r.mass for r in records], dtype=np.int64)
-    lineage = np.zeros((int(a.max(initial=0)), n), dtype=np.int64)
-    for p, r in enumerate(records):
-        if len(r.lineage) != a[p]:
-            raise SchemaError(
-                f"record {r.i} has {len(r.lineage)} lineage types for A = {r.a}"
-            )
-        lineage[: a[p], p] = r.lineage
-    return i, a, mass, lineage
-
-
-def records_to_csv(records: Sequence[CoalescentRecord]) -> str:
+def records_to_csv(records: CoalescentRecords) -> str:
     """CSV with columns i,A,mass,censored,lineage (lineage hyphen-joined).
 
-    Rows are formatted from arrays, one A value at a time; plain record
-    lists are packed into the same arrays first.
+    Rows are formatted from the record arrays, one A value at a time.
     """
-    if isinstance(records, CoalescentRecords):
-        a, mass, lineage = records.a, records.mass, records.lineage_inf
-        i = np.arange(1, len(a) + 1)
-    else:
-        i, a, mass, lineage = _pack_records(records)
+    a, mass, lineage = records.a, records.mass, records.lineage_inf
+    i = np.arange(1, len(a) + 1)
     rows = np.empty(len(a), dtype=object)
     for depth in np.unique(a).tolist():
         at = np.flatnonzero(a == depth)

@@ -240,11 +240,8 @@ def _first_pair_tallies(model, T, count, rng, ordering, root_type, n_max):
         state = dchain.init_quasistationary(
             model, T, rng, ordering=ordering, root_type=root_type
         )
-        singleton_until = 0
-        for j in range(T):
-            if len(state.levels[j]) != 1:
-                break
-            singleton_until = j + 1
+        a = state.coalescence_level()
+        singleton_until = T if a is None else a - 1
         for n in range(n_max + 1):
             t = state.levels[n][0]
             cell = cells[(n, t)]
@@ -596,7 +593,7 @@ def _task_simulate(cfg: RunConfig, out: dict) -> list[dict]:
         cfg.horizon,
         cfg.samples,
         rng,
-        ordering=forest._resolve_ordering(cfg.model, cfg.ordering),
+        ordering=cfg.ordering,
         root_type=cfg.root_type,
     )
     records = forest.coalescence_times(tree)
@@ -666,10 +663,9 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
 
     forest_vals: list[int] = []
     rng = stream(cfg.seed, "dchain", "forest-sample")
-    ordering = forest._resolve_ordering(cfg.model, cfg.ordering)
     while len(forest_vals) < cfg.samples:
         tree = forest.simulate_standing(
-            cfg.model, cfg.horizon, 1, rng, ordering=ordering, root_type=cfg.root_type
+            cfg.model, cfg.horizon, 1, rng, ordering=cfg.ordering, root_type=cfg.root_type
         )
         if tree.width < 2:
             continue

@@ -19,15 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import random_lf_params
-from mtcpp.analytics import (
-    EventQuery,
-    conditioned_popsize_law,
-    intensity_check,
-    joint_A1_law,
-    joint_B1_law,
-    oracle_enumerate,
-    spine_decomposition_test,
-)
+from mtcpp.analytics import conditioned_popsize_law, joint_A1_law, joint_B1_law
 from mtcpp.dchain import (
     dchain_step,
     extract_dstates,
@@ -50,6 +42,12 @@ from mtcpp.lf import (
 )
 from mtcpp.model import ModelSpec
 from mtcpp.rng import stream
+from oracles import (
+    EventQuery,
+    intensity_check,
+    oracle_enumerate,
+    spine_decomposition_test,
+)
 
 SEED = 20260823
 WALK_STEPS = 100_001

@@ -6,16 +6,11 @@ import pytest
 from mtcpp.analytics import (
     A1_tail,
     B1_tail,
-    EventQuery,
-    IntensityReport,
     LawRow,
     LawTable,
     conditioned_popsize_law,
-    intensity_check,
     joint_A1_law,
     joint_B1_law,
-    oracle_enumerate,
-    spine_decomposition_test,
 )
 from mtcpp.errors import (
     GuardError,
@@ -32,6 +27,13 @@ from mtcpp.lf import (
 )
 from mtcpp.model import ModelSpec
 from mtcpp.rng import stream
+from oracles import (
+    EventQuery,
+    IntensityReport,
+    intensity_check,
+    oracle_enumerate,
+    spine_decomposition_test,
+)
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from mtcpp.dchain import (
     init_quasistationary,
     reconstruct_tree,
     sample_eta,
-    sample_zeta,
 )
 from mtcpp.errors import (
     CensoredError,
@@ -60,7 +59,13 @@ def _ks_passes(xs, ys):
     return _ks_distance(xs, ys) <= 1.628 * np.sqrt((n + m) / (n * m))
 
 
-# -- zeta -------------------------------------------------------------------
+# -- zeta: the conditioned offspring at the top of a spine sample -----------
+
+
+def _zeta(model, n, ell, rng):
+    """Surviving offspring of a type-ell ancestor n generations back,
+    conditioned on at least one: the first level `sample_eta` draws."""
+    return sample_eta(model, n, ell, rng)[n - 1]
 
 
 def test_zeta_depth1_is_conditioned_offspring(rich2):
@@ -68,8 +73,8 @@ def test_zeta_depth1_is_conditioned_offspring(rich2):
     n = 50_000
     seen: dict[tuple[int, int], int] = {}
     for _ in range(n):
-        z = sample_zeta(rich2, 1, 1, rng)
-        key = (int(z.counts[0]), int(z.counts[1]))
+        z = _zeta(rich2, 1, 1, rng)
+        key = (z.count(1), z.count(2))
         seen[key] = seen.get(key, 0) + 1
     # depth 1 survival is certain, so this is xi conditioned on nonzero
     expected = {(2, 0): 0.25 / 0.7, (0, 1): 0.25 / 0.7, (1, 1): 0.2 / 0.7}
@@ -83,9 +88,9 @@ def test_zeta_depth1_is_conditioned_offspring(rich2):
 def test_zeta_e1_forced_configuration(e1):
     rng = stream(5, "zeta-forced")
     for _ in range(300):
-        z = sample_zeta(e1, 2, 2, rng)
-        assert tuple(z.counts) == (1, 0)
-        assert z.ordered == (1,)
+        z = _zeta(e1, 2, 2, rng)
+        assert (z.count(1), z.count(2)) == (1, 0)
+        assert z == (1,)
 
 
 def test_zeta_mean_matches_pgf(rich2):
@@ -98,7 +103,7 @@ def test_zeta_mean_matches_pgf(rich2):
     p_any = survival_vector(rich2, depth)[0]
     expect = float(M[0] @ p) / p_any
     totals = np.array(
-        [len(sample_zeta(rich2, depth, 1, rng).ordered) for _ in range(n_draw)],
+        [len(_zeta(rich2, depth, 1, rng)) for _ in range(n_draw)],
         dtype=float,
     )
     se = totals.std(ddof=1) / np.sqrt(n_draw)
@@ -108,13 +113,9 @@ def test_zeta_mean_matches_pgf(rich2):
 def test_zeta_invariants(rich2):
     rng = stream(11, "zeta-inv")
     for _ in range(500):
-        z = sample_zeta(rich2, 2, 1, rng)
-        assert int(z.counts.sum()) >= 1
-        assert len(z.ordered) == int(z.counts.sum())
-        multiset = np.zeros(2, dtype=np.int64)
-        for t in z.ordered:
-            multiset[t - 1] += 1
-        assert np.array_equal(multiset, z.counts)
+        z = _zeta(rich2, 2, 1, rng)
+        assert len(z) >= 1
+        assert all(t in (1, 2) for t in z)
 
 
 def test_zeta_impossible_conditioning():
@@ -122,25 +123,22 @@ def test_zeta_impossible_conditioning():
         {1: {(0, 2): 0.5, (0, 0): 0.5}, 2: {(0, 0): 1.0}}
     )
     with pytest.raises(ImpossibleConditioningError):
-        sample_zeta(spec, 2, 1, stream(0, "imp"))
+        _zeta(spec, 2, 1, stream(0, "imp"))
     # depth 1 is still fine: the children just die later
-    z = sample_zeta(spec, 1, 1, stream(0, "imp2"))
-    assert tuple(z.counts) == (0, 2)
+    z = _zeta(spec, 1, 1, stream(0, "imp2"))
+    assert (z.count(1), z.count(2)) == (0, 2)
 
 
 def test_zeta_rejects_bad_args(e1):
     rng = stream(0, "zeta-args")
     with pytest.raises(SchemaError):
-        sample_zeta(e1, 0, 1, rng)
-    with pytest.raises(SchemaError):
-        sample_zeta(e1, 1, 3, rng)
+        _zeta(e1, 1, 3, rng)
 
 
 # -- eta --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("draw", ["zeta", "eta"])
-def test_conditioned_offspring_stops_at_the_rejection_cap(draw, e1, monkeypatch):
+def test_conditioned_offspring_stops_at_the_rejection_cap(e1, monkeypatch):
     # survival rows that let the type-1 ancestor survive but keep none of
     # its children: every redraw comes back empty until the cap stops it
     monkeypatch.setitem(dchain._SURVIVAL_ROWS, e1, [[0.0, 0.0], [1.0, 1.0]])
@@ -157,19 +155,9 @@ def test_conditioned_offspring_stops_at_the_rejection_cap(draw, e1, monkeypatch)
         return draw_offspring
 
     monkeypatch.setattr(dchain, "_offspring_sampler", counting_sampler)
-    fn = sample_zeta if draw == "zeta" else sample_eta
     with pytest.raises(GuardError, match="type 1 within 7 conditioning attempts"):
-        fn(e1, 1, 1, stream(17, "cap", draw))
+        sample_eta(e1, 1, 1, stream(17, "cap", "eta"))
     assert calls == [1] * 7
-
-
-def test_eta_depth1_matches_zeta(rich2):
-    rng_a = stream(13, "eta-a")
-    rng_b = stream(13, "eta-a")
-    for _ in range(100):
-        levels = sample_eta(rich2, 1, 1, rng_a)
-        z = sample_zeta(rich2, 1, 1, rng_b)
-        assert levels == (z.ordered,)
 
 
 def test_eta_structure(rich2):
@@ -358,9 +346,9 @@ def test_survival_rows_grow_with_depth(e1, lf1):
         assert deep == sample_eta(fresh(model), 9, 1, rng_fresh)
         assert rng.getstate() == rng_fresh.getstate()
         assert _survival_rows(grown, 9) == _reference_survival_rows(model, 9)
-        # the zeta sampler reads and grows the same rows
+        # a first draw at depth 4 grows exactly the rows p_0..p_4
         zeta_first = fresh(model)
-        sample_zeta(zeta_first, 4, 1, rng)
+        _zeta(zeta_first, 4, 1, rng)
         assert _survival_rows(zeta_first, 0) == _reference_survival_rows(model, 4)
 
 
@@ -388,6 +376,32 @@ def test_state_boundary_refusals():
         DState.from_json('{"i": 1, "T": 2, "levels": [[1], []]}')
     with pytest.raises(SchemaError, match="'levels'"):
         DState.from_json('{"i": 1, "T": 2}')
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"i": "3", "T": 2.7, "levels": [["1"], [true, 2]]}', "'i'"),
+        ('{"i": "3", "T": 2, "levels": [[1], [1, 2]]}', "'i'"),
+        ('{"i": 3, "T": 2.7, "levels": [[1], [1, 2]]}', "'T'"),
+        ('{"i": 3, "T": true, "levels": [[1]]}', "'T'"),
+        ('{"i": 3, "T": 2, "levels": [["1"], [1, 2]]}', "'levels'"),
+        ('{"i": 3, "T": 2, "levels": [[1], [true, 2]]}', "'levels'"),
+        ('{"i": 3, "T": 1, "levels": [[1.9]]}', "'levels'"),
+        ('{"i": 3, "T": 1, "levels": 5}', "'levels'"),
+        ('{"i": 3, "T": 1, "levels": [1]}', "'levels'"),
+        ("3", "object"),
+        ("null", "object"),
+    ],
+    ids=[
+        "all-at-once", "string-i", "float-T", "bool-T", "string-type", "bool-type",
+        "float-type", "levels-number", "level-not-list", "number-text", "null-text",
+    ],
+)
+def test_state_json_refuses_wrong_kinds(text, message):
+    # int() would turn each of these into a valid-looking state
+    with pytest.raises(SchemaError, match=message):
+        DState.from_json(text)
 
 
 # -- chain vs forest (central equivalence) ----------------------------------

@@ -17,7 +17,6 @@ from mtcpp.forest import (
     sametype_times,
     simulate_forward,
     simulate_standing,
-    standing_population,
 )
 from mtcpp.lf import LFParams, lf_coalescence_law, lf_to_modelspec, two_type_models
 from mtcpp.model import ModelSpec, mean_matrix, survival_vector
@@ -195,8 +194,6 @@ def assert_emission_matches_reference(tree: PlanarTree) -> None:
     assert recs.mass.tolist() == [r.mass for r in ref]
     text = reference_records_to_csv(ref)
     assert _first_difference(records_to_csv(recs), text) is None
-    # a plain record list is packed into the same arrays first
-    assert _first_difference(records_to_csv(ref), text) is None
 
 
 def _ks_distance(xs, ys):
@@ -288,7 +285,7 @@ def test_immediate_death_single_root():
     dead = ModelSpec.from_pmf({1: {(0, 0): 1.0}, 2: {(0, 0): 1.0}})
     tree = simulate_forward(dead, "uniform", 1, 4, stream(0, "dead"))
     assert [len(t) for t in tree.types] == [1, 0, 0, 0, 0]
-    assert standing_population(tree).width == 0
+    assert tree.width == 0
     del spec
 
 
@@ -475,6 +472,16 @@ def test_standing_lays_first_survivors_side_by_side(e1, target):
         assert tree.parents[j].tolist() == parents
 
 
+def test_standing_default_ordering_is_the_model_default(lf1, e1):
+    # without an ordering the forest takes the model's own order, as the chain does
+    for model, ordering in ((lf1, "lf_first"), (e1, "uniform")):
+        tree = simulate_standing(model, 5, 20, stream(47, "default-order"))
+        ref = simulate_standing(model, 5, 20, stream(47, "default-order"), ordering=ordering)
+        assert [t.tolist() for t in tree.types] == [t.tolist() for t in ref.types]
+        assert [p.tolist() for p in tree.parents] == [p.tolist() for p in ref.parents]
+        assert tree.rejections == ref.rejections
+
+
 def test_standing_rejection_cap(e1):
     with pytest.raises(GuardError, match="attempts"):
         simulate_standing(e1, 25, 1, stream(31, "cap"), rejection_cap=3)
@@ -491,12 +498,12 @@ def test_standing_population_examples(e1):
         3,
         stream(1, "sp"),
     )
-    assert standing_population(dead_tree).individuals == ()
-    sp = standing_population(f1_tree())
-    assert sp.individuals == ((1, 1), (2, 2))
-    assert sp.types() == (1, 2)
+    assert dead_tree.width == 0 and dead_tree.types[-1].tolist() == []
+    tree = f1_tree()
+    assert tree.width == 2
+    assert tree.types[-1].tolist() == [1, 2]
     tree = nested_tree()
-    assert standing_population(tree).width == len(tree.types[-1])
+    assert tree.width == len(tree.types[-1])
 
 
 def test_ancestor_index_basics():
@@ -545,7 +552,7 @@ def test_interleaved_mass_grouping():
 def test_lineage_entries():
     recs = coalescence_times(nested_tree())
     tree = nested_tree()
-    sp = standing_population(tree).types()
+    sp = tree.types[-1].tolist()
     for r in recs:
         assert len(r.lineage) == r.a
         assert r.lineage[0] == sp[r.i]
@@ -570,12 +577,8 @@ def test_records_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "i,A,mass,censored,lineage"
     assert lines[1] == "1,3,2,0,1-2-1"
-    censored = CoalescentRecord(i=4, a=None, mass=1, lineage=(), lineage_inf=(1, 1))
-    row = records_to_csv([censored]).strip().split("\n")[1]
-    assert row == "4,,1,1,"
-    short = CoalescentRecord(i=1, a=2, mass=1, lineage=(1,), lineage_inf=(1, 1))
-    with pytest.raises(SchemaError, match="lineage"):
-        records_to_csv([short])
+    row = records_to_csv(coalescence_times(censored_tree())).strip().split("\n")[1]
+    assert row == "1,,1,1,"
 
 
 def test_pairwise_examples():
@@ -614,7 +617,7 @@ def test_pairwise_dual_path(e1):
 def test_sametype_examples():
     recs = coalescence_times(sibling_then_deep_tree())
     assert [r.a for r in recs] == [1, 3]
-    types = standing_population(sibling_then_deep_tree()).types()
+    types = tuple(sibling_then_deep_tree().types[-1].tolist())
     assert types == (1, 2, 1)
     assert sametype_times(recs, types, 1) == [3]
     assert sametype_times(recs, types, 2) == []
@@ -633,7 +636,7 @@ def test_ancestral_subtree_preserves_coalescence(lf1, e1):
             tree = simulate_standing(model, 5, 1, rng, ordering=ordering)
             sub = ancestral_subtree(tree)
             assert sub.width == tree.width
-            assert standing_population(sub).types() == standing_population(tree).types()
+            assert sub.types[-1].tolist() == tree.types[-1].tolist()
             if tree.width >= 2:
                 ra = coalescence_times(tree)
                 rb = coalescence_times(sub)
