@@ -19,6 +19,12 @@ JOBS = {
     "simulate-lf-1": ("simulate", "lf1", dict(samples=1, horizon=6)),
     "simulate-lf-300": ("simulate", "lf1", dict(samples=300, horizon=6)),
     "dchain-e1": ("dchain", "e1", dict(samples=1000, horizon=8, n_max=3)),
+    # the finite-support shuffled sampler on the forest path
+    "simulate-e1": ("simulate", "e1", dict(samples=300, horizon=6)),
+    # the LF shuffled sampler, the LF survival rows and the forest KS sample
+    "dchain-lf-uniform": (
+        "dchain", "lf1", dict(samples=1000, horizon=6, n_max=3, ordering="uniform")
+    ),
 }
 
 GOLDEN = {
@@ -31,9 +37,19 @@ GOLDEN = {
         "estimates.csv": "8108981c40d61d4d3ecc4ea1f38114005d083988ce94b74ba6f17ae81dd075b8",
         "report.json": "0858b484394fb69c0bde3127e1f480243d5fbd965c5a52eebdb7f5e25295f13e",
     },
+    "dchain-lf-uniform": {
+        "compare.csv": "b56bf05168e8071ab41e9d19c75f13a3526e89b1cec9c837f7d24ed6c11e308a",
+        "estimates.csv": "4b2690876ac4ec47fc86898cf173af3efda28688240b7c874be569146ffaa853",
+        "report.json": "44068cefd962d70ca154ba8422d92226c32b717a8b5ade29ecb6c9fb32db7700",
+    },
     "laws-s3": {
         "laws.csv": "d1c2806693469f2cf4e2d91fe06802ce66a2181f4c79786e9bdbd0fad271592a",
         "report.json": "3f84bbad8c8036d8d40352f1b0674cd11fd68a8172a4843a27c47b0056a191c7",
+    },
+    "simulate-e1": {
+        "records.csv": "e9e5532c19a5e56f2c6010160a0410a7498b9d7fabd526c232f69f98c4983053",
+        "report.json": "ab6714002f4f6271bbae8eab808601561e666bbfd4e47df14abeff959fd1d618",
+        "tree.tsv": "0188f26d9f6771b90fb7ec2e40f3e18898ebd46858aa364a23da83c85d3ab1f9",
     },
     "simulate-lf-1": {
         "records.csv": "1cf3f21569fd9a361146494a31244e958a3cdc8d105684637f0a4d23a9d8265a",
