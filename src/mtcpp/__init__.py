@@ -2,7 +2,8 @@
 
 Modules by concern:
 
-- `model`: finite-support offspring laws and generating-function calculus
+- `model`: the offspring-law interface both model kinds share, finite-support
+  specs, and the generating-function calculus
 - `lf`: the linear-fractional parametric class and its closed-form laws
 - `forest`: planar tree simulation and coalescent extraction
 - `dchain`: the reduced ancestry chain over surviving-offspring states

@@ -227,7 +227,8 @@ def conditioned_popsize_law(spec: ModelSpec, n: int, root: int, cap: int) -> Pop
 #
 # A and B_ell are one law at two start points: survival means any standing
 # descendant for A (ell None, orbit from s = 0) and a standing type-ell
-# descendant for B_ell (orbit from s = 1 - e_ell).  Each body takes ell.
+# descendant for B_ell (orbit from s = 1 - e_ell).  Each body takes ell, and
+# `spec` may be either model kind.
 
 
 def _cannot_survive(top: int, ell: int | None, n: int) -> str:

@@ -17,10 +17,9 @@ import math
 import sys
 
 from .errors import SchemaError
-from .forest import ORDERINGS
 from .harness import TASKS, RunConfig, run
 from .lf import LFParams
-from .model import ModelSpec
+from .model import ORDERINGS, ModelSpec
 
 _CONFIG_KEYS = {
     "seed",

@@ -29,8 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .forest import DEFAULT_REJECTION_CAP, PlanarTree, _offspring_sampler
-from .lf import lf_pgf
-from .model import ModelSpec, _is_json_int, pgf_eval_all
+from .model import _check_type, _is_json_int, pgf_eval_all
 from . import forest as _forest
 
 __all__ = [
@@ -136,15 +135,8 @@ def _survival_rows(model, n: int) -> list[list[float]]:
     rows = _SURVIVAL_ROWS.get(model)
     if rows is None:
         rows = _SURVIVAL_ROWS[model] = [[1.0] * model.k]
-    k = model.k
     while len(rows) <= n:
-        s = 1.0 - np.array(rows[-1])
-        if isinstance(model, ModelSpec):
-            s = np.clip(pgf_eval_all(model, s), 0.0, 1.0)
-        else:
-            s = np.clip(
-                np.array([lf_pgf(model, ell, s) for ell in range(1, k + 1)]), 0.0, 1.0
-            )
+        s = np.clip(pgf_eval_all(model, 1.0 - np.array(rows[-1])), 0.0, 1.0)
         rows.append((1.0 - s).tolist())
     return rows
 
@@ -183,9 +175,7 @@ def sample_eta(
         raise SchemaError(f"spine depth must be >= 0, got {n}")
     if n == 0:
         return ()
-    k = model.k
-    if not 1 <= ell <= k:
-        raise SchemaError(f"type {ell} outside 1..{k}")
+    _check_type(model, ell)
     p_rows = _survival_rows(model, n)
     if p_rows[n][ell - 1] <= 0.0:
         raise ImpossibleConditioningError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GuardError, SchemaError
 from .lf import LFParams, lf_sample_offspring
-from .model import ModelSpec
+from .model import ModelSpec, _check_type, planar_ordering
 
 __all__ = [
     "PlanarTree",
@@ -42,10 +42,6 @@ DEFAULT_NODE_CAP = 10**7
 
 #: Refuse to retry a conditioned simulation past this many attempts.
 DEFAULT_REJECTION_CAP = 10**6
-
-#: Planar offspring orders: shuffled, or the linear-fractional law's own
-#: order (first offspring from the H row, then the geometric tail).
-ORDERINGS = ("uniform", "lf_first")
 
 Model = Union[ModelSpec, LFParams]
 
@@ -171,14 +167,12 @@ class CoalescentRecord:
 def _offspring_sampler(model: Model, ordering: str | None):
     """Return a callable (type, rng) -> ordered 1-based offspring type list.
 
-    ordering None picks the model's default: 'lf_first' for
-    linear-fractional parameters, 'uniform' for finite-support specs.
+    ordering None picks the model's default planar order; both kinds keep
+    their sampling tables from construction.
     """
-    if ordering is None:
-        ordering = "lf_first" if isinstance(model, LFParams) else "uniform"
-    if ordering not in ORDERINGS:
-        raise SchemaError(f"unknown ordering {ordering!r}")
+    ordering = planar_ordering(model, ordering)
     if isinstance(model, LFParams):
+        # drawn through this module's name, which bench/tracer.py counts
         if ordering == "lf_first":
             return lambda ell, rng: lf_sample_offspring(model, ell, rng)
 
@@ -188,17 +182,8 @@ def _offspring_sampler(model: Model, ordering: str | None):
             return out
 
         return sample_lf
-    if not isinstance(model, ModelSpec):
-        raise SchemaError(f"expected ModelSpec or LFParams, got {type(model).__name__}")
-    if ordering == "lf_first":
-        raise SchemaError("ordering 'lf_first' needs linear-fractional parameters")
-    cum = [np.cumsum(model.probs[ell]).tolist() for ell in range(model.k)]
-    # one type-sorted offspring list per (parent type, support row); a draw
-    # copies its row's list and shuffles the copy
-    expanded = [
-        [[lp + 1 for lp, c in enumerate(z) for _ in range(c)] for z in counts.tolist()]
-        for counts in model.counts
-    ]
+    # a draw copies its support row's type-sorted list and shuffles the copy
+    cum, expanded = model._cum, model._expanded
 
     def sample_spec(ell, rng):
         rows = cum[ell - 1]
@@ -261,9 +246,7 @@ def simulate_forward(
     """
     if depth < 1:
         raise SchemaError(f"depth must be >= 1, got {depth}")
-    k = model.k
-    if not 1 <= root_type <= k:
-        raise SchemaError(f"root type {root_type} outside 1..{k}")
+    _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
     types_layers, parent_layers = _simulate_layers(sample, root_type, depth, rng, node_cap)
     return _layers_to_tree(types_layers, parent_layers, depth, 0)
@@ -316,9 +299,7 @@ def simulate_standing(
         raise SchemaError(f"horizon must be >= 1, got {T}")
     if target_width < 1:
         raise SchemaError(f"target width must be >= 1, got {target_width}")
-    k = model.k
-    if not 1 <= root_type <= k:
-        raise SchemaError(f"root type {root_type} outside 1..{k}")
+    _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
     rejections = 0
     survivors: list[PlanarTree] = []

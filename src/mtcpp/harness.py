@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .lf import (
     lf_sametype_law,
     two_type_compare,
 )
-from .model import ModelSpec
+from .model import ModelSpec, planar_ordering
 from .rng import stream
 
 __all__ = [
@@ -124,26 +124,16 @@ class RunConfig:
         elif self.two_type is not None:
             raise SchemaError(f"task {self.task!r} needs a model spec or LF parameters")
         # argparse limits --ordering; a config file does not
-        if self.ordering is not None and self.ordering not in forest.ORDERINGS:
-            raise SchemaError(
-                f"unknown ordering {self.ordering!r}; choose from {forest.ORDERINGS}"
-            )
-        is_spec = isinstance(self.model, ModelSpec)
-        if self.ordering == "lf_first" and is_spec:
-            raise SchemaError("ordering 'lf_first' needs linear-fractional parameters")
+        planar_ordering(self.model, self.ordering)
         if self.model is not None and not 1 <= self.root_type <= self.model.k:
             raise SchemaError(f"root_type {self.root_type} outside 1..{self.model.k}")
-        if self.task == "validate" and is_spec and self.n_max > self.horizon - 1:
-            # validate on a finite-support model runs a_first; refuse before
-            # the law table is built rather than after
+        a_first = self.task == "validate" and "a_first" in _validate_statistics(self.model)
+        if a_first and self.n_max > self.horizon - 1:
+            # refuse before the law table is built rather than after
             raise SchemaError(
                 f"validate on a finite-support model needs n_max <= horizon - 1, "
                 f"got n_max={self.n_max}, horizon={self.horizon}"
             )
-
-    @property
-    def model_label(self) -> str:
-        return "spec" if isinstance(self.model, ModelSpec) else "lf"
 
 
 @dataclass(frozen=True)
@@ -357,7 +347,7 @@ def mc_estimate(
     Statistics:
       - "a_first": first-pair coalescence depth from independent initial
         states, one row per (depth n, ancestor type) conditioning cell,
-        against the exact conditioned law.  Finite-support models only;
+        against the exact conditioned law `A1_tail`, on either model kind;
         `samples` counts independent states.
       - "a_stationary": pair coalescence depths along one censored-restart
         chain; `samples` counts chain transitions.  Analytic column filled
@@ -375,14 +365,8 @@ def mc_estimate(
         raise SchemaError(f"horizon must be >= 1, got {T}")
     if n_max < 0:
         raise SchemaError(f"n_max must be >= 0, got {n_max}")
-    is_lf = isinstance(model, LFParams)
 
     if statistic == "a_first":
-        if is_lf:
-            raise SchemaError(
-                "a_first needs the exact conditioned law, which is computed "
-                "for finite-support models; convert LF parameters first"
-            )
         if n_max > T - 1:
             raise SchemaError(
                 f"a_first needs n_max <= horizon - 1, got n_max={n_max}, T={T}"
@@ -434,7 +418,9 @@ def mc_estimate(
         # each part is (a_values, a_censored, b_values, b_censored)
         values = [v for p in parts for v in (p[0] if ell is None else p[2][ell])]
         censored = sum(p[1] if ell is None else p[3][ell] for p in parts)
-        analytic_fn = (lambda n: _exact_tail(model, ell, None, n)) if is_lf else None
+        # exact stationary laws are known for LF models only
+        exact = isinstance(model, LFParams)
+        analytic_fn = (lambda n: _exact_tail(model, ell, None, n)) if exact else None
         return _tail_rows(statistic, values, censored, T, n_max, analytic_fn)
 
     raise SchemaError(f"unknown statistic {statistic!r}")
@@ -514,7 +500,7 @@ def _law_table(cfg: RunConfig) -> LawTable:
                 rows.append(
                     LawRow(
                         formula="a_tail" if ell is None else "b_tail",
-                        model=cfg.model_label,
+                        model=model.label,
                         n=n,
                         conditioning=conditioning,
                         value=value,
@@ -538,16 +524,18 @@ def _task_laws(cfg: RunConfig, out: dict) -> list[dict]:
     ]
 
 
+def _validate_statistics(model) -> list[str]:
+    """The statistics `validate` scores: the stationary laws where they are
+    known exactly (LF models), the first-pair law otherwise."""
+    if isinstance(model, LFParams):
+        return ["a_stationary"] + [f"b_stationary:{ell}" for ell in range(1, model.k + 1)]
+    return ["a_first"]
+
+
 def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
     checks = _task_laws(cfg, out)
     rows: list[EstimateRow] = []
-    if isinstance(cfg.model, LFParams):
-        statistics = ["a_stationary"] + [
-            f"b_stationary:{ell}" for ell in range(1, cfg.model.k + 1)
-        ]
-    else:
-        statistics = ["a_first"]
-    for statistic in statistics:
+    for statistic in _validate_statistics(cfg.model):
         rows.extend(
             mc_estimate(
                 statistic,
@@ -637,6 +625,22 @@ def _task_compare_two_type(cfg: RunConfig, out: dict) -> list[dict]:
     return checks
 
 
+def _skip_none(items, what: str):
+    """The items that are not None; GuardError after forest.DEFAULT_REJECTION_CAP
+    Nones in a row, all that a root type with no two standing descendants
+    at the horizon would ever yield."""
+    misses = 0
+    for item in items:
+        if item is not None:
+            misses = 0
+            yield item
+        elif (misses := misses + 1) >= forest.DEFAULT_REJECTION_CAP:
+            raise GuardError(
+                f"{misses} {what} in a row; the root type may not reach two "
+                "standing descendants at this horizon"
+            )
+
+
 def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
     rows = mc_estimate(
         "a_stationary",
@@ -658,19 +662,23 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
         cfg.root_type,
     )
     # censored pairs carry no A; the chain stops at the last needed one
-    observed = (a for _, a in chain if a is not None)
+    observed = _skip_none((a for _, a in chain), "chain pairs were censored")
     chain_vals = list(itertools.islice(observed, cfg.samples))
 
     forest_vals: list[int] = []
     rng = stream(cfg.seed, "dchain", "forest-sample")
-    while len(forest_vals) < cfg.samples:
-        tree = forest.simulate_standing(
+    trees = (
+        forest.simulate_standing(
             cfg.model, cfg.horizon, 1, rng, ordering=cfg.ordering, root_type=cfg.root_type
         )
-        if tree.width < 2:
-            continue
+        for _ in itertools.count()
+    )
+    wide = (tree if tree.width >= 2 else None for tree in trees)
+    for tree in _skip_none(wide, "surviving trees had width 1"):
         a = forest.coalescence_times(tree).a
         forest_vals.extend(a[a > 0].tolist())
+        if len(forest_vals) >= cfg.samples:
+            break
     forest_vals = forest_vals[: cfg.samples]
 
     result = ks_compare(chain_vals, forest_vals)
@@ -707,7 +715,7 @@ def _report(
 ) -> str:
     doc = {
         "task": cfg.task,
-        "model": cfg.model_label if cfg.two_type is None else "two-type",
+        "model": "two-type" if cfg.model is None else cfg.model.label,
         "seed": cfg.seed,
         "samples": cfg.samples,
         "horizon": cfg.horizon,

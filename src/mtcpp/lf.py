@@ -19,16 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardError, NumericConsistencyError, SchemaError
-from .model import ModelSpec, _is_json_int, _json_number, _orbit_start
+from .errors import NumericConsistencyError, SchemaError
+from .model import _check_type, _is_json_int, _json_number, _orbit_start
 
 __all__ = [
     "LFParams",
     "LFIterates",
     "TwoTypeComparison",
-    "lf_pgf",
-    "lf_mean_matrix",
-    "lf_to_modelspec",
     "lf_sample_offspring",
     "lf_iterate",
     "lf_iterate_sequence",
@@ -52,6 +49,11 @@ class LFParams:
     H: np.ndarray
     g: np.ndarray
     m: float
+
+    #: Model kind, as laws.csv and report.json name it.
+    label = "lf"
+    #: Planar offspring orders: the law's own (H-typed child first) by default.
+    orderings = ("lf_first", "uniform")
 
     def __post_init__(self) -> None:
         H = np.asarray(self.H, dtype=float)
@@ -83,6 +85,35 @@ class LFParams:
     def h0(self) -> np.ndarray:
         """Per-type probability of having no offspring at all."""
         return self._h0
+
+    # -- model interface: closed forms of model.ModelSpec's primitives
+
+    def pgf(self, s: np.ndarray) -> np.ndarray:
+        """(f_1(s), ..., f_k(s)), f_l(s) = h_l0 + (H[l] . s) / (1 + m - m g.s).
+
+        Row by row: H @ s as one product rounds differently in the last bit
+        at some points, and the chain's survival rows are built from these.
+        """
+        denom = 1.0 + self.m - self.m * float(self.g @ s)
+        assert denom > 0, "LF denominator must be positive on [0,1]^k"
+        return np.array([self._h0[i] + (self.H[i] @ s) / denom for i in range(self.k)])
+
+    def jacobian_entry(self, ell: int, wrt: int, s: np.ndarray) -> float:
+        """Entry (ell, wrt) of Df(s) = H / D + (H s)(m g)^T / D**2, D = 1 + m - m g.s."""
+        denom = 1.0 + self.m - self.m * float(self.g @ s)
+        row = self.H[ell - 1]
+        return float(row[wrt - 1] / denom + (row @ s) * self.m * self.g[wrt - 1] / denom**2)
+
+    def complement_step(self, q: np.ndarray) -> np.ndarray:
+        """1 - f(1 - q) = ((1 - h0) m (g.q) + H q) / (1 + m g.q); every term is
+        nonnegative, so tiny survival probabilities keep their digits."""
+        mgq = self.m * float(self.g @ q)
+        # rounding can push a coordinate past 1; clip to stay in domain
+        return np.clip(((1.0 - self._h0) * mgq + self.H @ q) / (1.0 + mgq), 0.0, 1.0)
+
+    def mean_matrix(self) -> np.ndarray:
+        """Mean matrix M = H + m (H 1) g^T."""
+        return self.H + self.m * np.outer(self.H @ np.ones(self.k), self.g)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -134,81 +165,6 @@ class LFIterates:
     h0_n: np.ndarray
 
 
-def lf_mean_matrix(params: LFParams) -> np.ndarray:
-    """Mean matrix M = H + m * (H 1)^T g of the LF law."""
-    return params.H + params.m * np.outer(params.H @ np.ones(params.k), params.g)
-
-
-def _check_s(params: LFParams, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (params.k,):
-        raise SchemaError(f"argument vector has shape {s.shape}, expected ({params.k},)")
-    if np.any(s < 0) or np.any(s > 1):
-        raise SchemaError("generating functions are evaluated on [0,1]^k only")
-    return s
-
-
-def _check_type(params: LFParams, ell: int) -> None:
-    if not 1 <= ell <= params.k:
-        raise SchemaError(f"type index {ell} out of range 1..{params.k}")
-
-
-def lf_pgf(params: LFParams, ell: int, s) -> float:
-    """Offspring generating function h_{l0} + (H[l] . s) / (1 + m - m g.s)."""
-    _check_type(params, ell)
-    s = _check_s(params, s)
-    denom = 1.0 + params.m - params.m * float(params.g @ s)
-    assert denom > 0, "LF denominator must be positive on [0,1]^k"
-    return float(params.h0[ell - 1] + (params.H[ell - 1] @ s) / denom)
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def lf_to_modelspec(params: LFParams, truncate_at: int) -> ModelSpec:
-    """Finite-support approximation of the LF pmf.
-
-    Keeps offspring vectors with total count <= truncate_at and
-    renormalizes.  The dropped geometric tail has mass
-    (1 - h_{l0}) (m/(1+m))^truncate_at per parent type; the call refuses
-    to truncate if that exceeds 1e-10.
-    """
-    k, m = params.k, params.m
-    q = m / (1.0 + m)
-    worst = float((1.0 - params.h0).max()) * q**truncate_at
-    if worst >= 1e-10:
-        raise GuardError(
-            f"truncate_at={truncate_at} leaves mass {worst:.3e} >= 1e-10 in the geometric tail"
-        )
-    log_g = np.where(params.g > 0, np.log(np.where(params.g > 0, params.g, 1.0)), -np.inf)
-    pmf: dict[int, dict[tuple[int, ...], float]] = {}
-    for ell in range(1, k + 1):
-        rows: dict[tuple[int, ...], float] = {(0,) * k: float(params.h0[ell - 1])}
-        for first in range(k):
-            h = float(params.H[ell - 1, first])
-            if h == 0.0:
-                continue
-            for j in range(truncate_at):
-                base = h * q**j / (1.0 + m)
-                for w in _compositions(j, k):
-                    if any(w[i] > 0 and params.g[i] == 0.0 for i in range(k)):
-                        continue
-                    logmult = math.lgamma(j + 1) - sum(math.lgamma(c + 1) for c in w)
-                    weight = base * math.exp(logmult + sum(c * lg for c, lg in zip(w, log_g) if c))
-                    key = tuple(w[i] + (1 if i == first else 0) for i in range(k))
-                    rows[key] = rows.get(key, 0.0) + weight
-        total = sum(rows.values())
-        pmf[ell] = {z: p / total for z, p in rows.items()}
-    return ModelSpec.from_pmf(pmf, k=k)
-
-
 def lf_sample_offspring(params: LFParams, ell: int, rng) -> list[int]:
     """Draw one ordered offspring list (1-based types; h-child leftmost)."""
     _check_type(params, ell)
@@ -249,7 +205,7 @@ def lf_iterate_sequence(params: LFParams, n: int) -> list[LFIterates]:
         raise SchemaError(f"generation count must be >= 0, got {n}")
     k, m, g = params.k, params.m, params.g
     h0 = params.h0
-    M = lf_mean_matrix(params)
+    M = params.mean_matrix()
     ones = np.ones(k)
     out = [
         LFIterates(n=0, m_n=0.0, g_n=g.copy(), H_n=np.eye(k), h0_n=np.zeros(k))

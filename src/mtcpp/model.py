@@ -1,10 +1,14 @@
-"""Finite-support multi-type offspring distributions.
+"""Multi-type offspring laws and their generating-function calculus.
 
-A `ModelSpec` holds, for each parent type, a finite pmf over offspring
-count-vectors.  Everything downstream (generating functions, iterates,
-survival vectors, mean matrix, Perron spectral data) is an exact finite
-sum over that support, which is what makes the analytic cross-checks in
-`analytics` trustworthy.
+A model is a `ModelSpec`, which holds for each parent type a finite pmf
+over offspring count-vectors, or an `lf.LFParams`, the linear-fractional
+family.  Both answer the same questions through the same primitives: the
+pgf vector f(s), one Jacobian entry df_l/ds_t, the complement step
+q -> 1 - f(1 - q), the mean matrix, a `label` and the planar `orderings`
+they allow.  For a `ModelSpec` each is an exact finite sum over the
+support; for LF parameters each is a closed form.  The functions in this
+module check their arguments once and work on either kind, so the
+iterates, survival vectors and the laws in `analytics` have one body.
 
 Type indices are 1-based everywhere in the public API, matching the tree
 dump and CSV formats; the arrays underneath are 0-based.
@@ -21,9 +25,11 @@ import numpy as np
 from .errors import GuardError, SchemaError
 
 __all__ = [
+    "ORDERINGS",
     "ModelSpec",
     "SpectralInfo",
     "NotPositiveRegularError",
+    "planar_ordering",
     "pgf_eval",
     "pgf_eval_all",
     "pgf_iterate",
@@ -44,6 +50,9 @@ RAYLEIGH_TOL = 1e-13
 
 #: Iteration cap for the power method.
 POWER_ITER_CAP = 10**6
+
+#: Planar offspring orders: shuffled, or the linear-fractional law's own.
+ORDERINGS = ("uniform", "lf_first")
 
 
 class NotPositiveRegularError(ValueError):
@@ -73,6 +82,11 @@ class ModelSpec:
     #: Escape hatch for matrix-only tests; singular laws (every parent always
     #: has exactly one child) break the coalescent machinery downstream.
     allow_singular: bool = False
+
+    #: Model kind, as laws.csv and report.json name it.
+    label = "spec"
+    #: Planar offspring orders this law allows, the default first.
+    orderings = ("uniform",)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -108,6 +122,59 @@ class ModelSpec:
                 singular = False
         if singular and not self.allow_singular:
             raise SchemaError("singular model: every parent type always has exactly one child")
+        # sampling tables, built once: a draw picks a support row by its
+        # cumulative probability and shuffles a copy of the row's type list
+        object.__setattr__(self, "_cum", [np.cumsum(p).tolist() for p in self.probs])
+        expanded = [
+            [[t + 1 for t, c in enumerate(z) for _ in range(c)] for z in zs.tolist()]
+            for zs in self.counts
+        ]
+        object.__setattr__(self, "_expanded", expanded)
+
+    # -- model interface, shared with lf.LFParams; the module functions check
+    # the arguments and then call these primitives
+
+    def pgf(self, s: np.ndarray) -> np.ndarray:
+        """Vector (f_1(s), ..., f_k(s)) of offspring generating functions."""
+        return np.array(
+            [p @ np.prod(s[None, :] ** z, axis=1) for z, p in zip(self.counts, self.probs)]
+        )
+
+    def jacobian_entry(self, ell: int, wrt: int, s: np.ndarray) -> float:
+        """Partial derivative of f_ell with respect to s_wrt, with 0**0 = 1."""
+        z = self.counts[ell - 1]
+        p = self.probs[ell - 1]
+        keep = z[:, wrt - 1] >= 1
+        if not np.any(keep):
+            return 0.0
+        zk = z[keep].copy()
+        zk[:, wrt - 1] -= 1
+        terms = z[keep, wrt - 1] * np.prod(s[None, :] ** zk, axis=1)
+        return float(p[keep] @ terms)
+
+    def complement_step(self, q: np.ndarray) -> np.ndarray:
+        """1 - f(1 - q) without forming 1 - q.
+
+        Each parent type's term is sum_z p_z (1 - prod_j (1 - q_j)**z_j),
+        with the product taken as exp(sum_j z_j log1p(-q_j)).  Tiny
+        survival probabilities keep their relative precision, where
+        1 - f(s) cancels.
+        """
+        with np.errstate(divide="ignore"):
+            logs = np.log1p(-q)  # -inf where q_j == 1
+        out = np.empty(self.k)
+        for ell in range(self.k):
+            z = self.counts[ell]
+            # z_j = 0 factors are 1 even when q_j == 1 (0**0 = 1); skip them
+            # rather than form 0 * -inf
+            expo = np.multiply(z, logs, out=np.zeros(z.shape), where=z > 0).sum(axis=1)
+            out[ell] = self.probs[ell] @ -np.expm1(expo)
+        # rounding can push a coordinate past 1; clip to stay in domain
+        return np.clip(out, 0.0, 1.0)
+
+    def mean_matrix(self) -> np.ndarray:
+        """Matrix M with M[l, l'] = expected type-l' offspring of a type-l parent."""
+        return np.vstack([self.probs[ell] @ self.counts[ell] for ell in range(self.k)]).astype(float)
 
     @property
     def max_support(self) -> int:
@@ -239,66 +306,68 @@ class SpectralInfo:
     criticality: str  # "sub" | "critical" | "super"
 
 
-def _check_type(spec: ModelSpec, ell: int) -> None:
-    if not 1 <= ell <= spec.k:
-        raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
+def _check_type(model, ell: int) -> None:
+    if not 1 <= ell <= model.k:
+        raise SchemaError(f"type index {ell} out of range 1..{model.k}")
 
 
-def _check_s(spec: ModelSpec, s) -> np.ndarray:
+def _check_s(model, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (spec.k,):
-        raise SchemaError(f"argument vector has shape {s.shape}, expected ({spec.k},)")
+    if s.shape != (model.k,):
+        raise SchemaError(f"argument vector has shape {s.shape}, expected ({model.k},)")
     if np.any(s < 0) or np.any(s > 1):
         raise SchemaError("generating functions are evaluated on [0,1]^k only")
     return s
 
 
-def pgf_eval(spec: ModelSpec, ell: int, s) -> float:
+def planar_ordering(model, ordering: str | None) -> str:
+    """`ordering`, or the model's default (its first allowed) when None.
+
+    Refuses an unknown ordering and one the model does not allow; with no
+    model (the two-type comparison) only an unknown one.
+    """
+    allowed = ORDERINGS if model is None else model.orderings
+    if ordering is None:
+        return allowed[0]
+    if ordering not in ORDERINGS:
+        raise SchemaError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
+    if ordering not in allowed:
+        raise SchemaError(f"ordering {ordering!r} needs linear-fractional parameters")
+    return ordering
+
+
+def pgf_eval(model, ell: int, s) -> float:
     """Evaluate the offspring generating function f_ell(s) = E[s^xi_ell]."""
-    _check_type(spec, ell)
-    s = _check_s(spec, s)
-    z = spec.counts[ell - 1]
-    return float(spec.probs[ell - 1] @ np.prod(s[None, :] ** z, axis=1))
+    _check_type(model, ell)
+    return float(model.pgf(_check_s(model, s))[ell - 1])
 
 
-def pgf_eval_all(spec: ModelSpec, s) -> np.ndarray:
+def pgf_eval_all(model, s) -> np.ndarray:
     """Vector (f_1(s), ..., f_k(s))."""
-    s = _check_s(spec, s)
-    return np.array(
-        [spec.probs[ell] @ np.prod(s[None, :] ** spec.counts[ell], axis=1) for ell in range(spec.k)]
-    )
+    return model.pgf(_check_s(model, s))
 
 
-def pgf_iterate(spec: ModelSpec, n: int, s) -> np.ndarray:
+def pgf_iterate(model, n: int, s) -> np.ndarray:
     """n-fold composition f^(n)(s); f^(0)(s) = s."""
     if n < 0:
         raise SchemaError(f"iteration count must be >= 0, got {n}")
-    out = _check_s(spec, s)
+    out = _check_s(model, s)
     for _ in range(n):
         # rounding can push a coordinate to 1 + O(eps); clip to stay in domain
-        out = np.clip(pgf_eval_all(spec, out), 0.0, 1.0)
+        out = np.clip(pgf_eval_all(model, out), 0.0, 1.0)
     return out
 
 
-def pgf_partial(spec: ModelSpec, ell: int, wrt: int, s) -> float:
+def pgf_partial(model, ell: int, wrt: int, s) -> float:
     """Partial derivative of f_ell with respect to s_wrt, with 0**0 = 1."""
-    _check_type(spec, ell)
-    _check_type(spec, wrt)
-    s = _check_s(spec, s)
-    z = spec.counts[ell - 1]
-    p = spec.probs[ell - 1]
-    keep = z[:, wrt - 1] >= 1
-    if not np.any(keep):
-        return 0.0
-    zk = z[keep].copy()
-    zk[:, wrt - 1] -= 1
-    terms = z[keep, wrt - 1] * np.prod(s[None, :] ** zk, axis=1)
-    return float(p[keep] @ terms)
+    _check_type(model, ell)
+    _check_type(model, wrt)
+    return model.jacobian_entry(ell, wrt, _check_s(model, s))
 
 
-def mean_matrix(spec: ModelSpec) -> np.ndarray:
+def mean_matrix(model) -> np.ndarray:
     """Matrix M with M[l, l'] = expected type-l' offspring of a type-l parent."""
-    return np.vstack([spec.probs[ell] @ spec.counts[ell] for ell in range(spec.k)]).astype(float)
+    return model.mean_matrix()
 
 
 def is_positive_regular(M: np.ndarray) -> bool:
@@ -358,27 +427,7 @@ def perron(M: np.ndarray) -> SpectralInfo:
     return SpectralInfo(rho=rho, u=u, v=v, criticality=crit)
 
 
-def _complement_step(spec: ModelSpec, q: np.ndarray) -> np.ndarray:
-    """1 - f(1 - q) without forming 1 - q.
-
-    Each parent type's term is sum_z p_z (1 - prod_j (1 - q_j)**z_j), with
-    the product taken as exp(sum_j z_j log1p(-q_j)).  Tiny survival
-    probabilities keep their relative precision, where 1 - f(s) cancels.
-    """
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(-q)  # -inf where q_j == 1
-    out = np.empty(spec.k)
-    for ell in range(spec.k):
-        z = spec.counts[ell]
-        # z_j = 0 factors are 1 even when q_j == 1 (0**0 = 1); skip them
-        # rather than form 0 * -inf
-        expo = np.multiply(z, logs, out=np.zeros(z.shape), where=z > 0).sum(axis=1)
-        out[ell] = spec.probs[ell] @ -np.expm1(expo)
-    # rounding can push a coordinate past 1; clip to stay in domain
-    return np.clip(out, 0.0, 1.0)
-
-
-def complement_orbit(spec: ModelSpec, n: int, s) -> np.ndarray:
+def complement_orbit(model, n: int, s) -> np.ndarray:
     """Rows 1 - f^(j)(s) for j = 0..n, as an (n+1, k) array.
 
     One pass along the orbit of s.  At s = 0 row j is the per-type survival
@@ -387,10 +436,10 @@ def complement_orbit(spec: ModelSpec, n: int, s) -> np.ndarray:
     """
     if n < 0:
         raise SchemaError(f"iteration count must be >= 0, got {n}")
-    out = np.empty((n + 1, spec.k))
-    out[0] = 1.0 - _check_s(spec, s)
+    out = np.empty((n + 1, model.k))
+    out[0] = 1.0 - _check_s(model, s)
     for j in range(n):
-        out[j + 1] = _complement_step(spec, out[j])
+        out[j + 1] = model.complement_step(out[j])
     return out
 
 
@@ -400,16 +449,16 @@ def _orbit_start(k: int, ell: int | None) -> np.ndarray:
     return np.zeros(k) if ell is None else 1.0 - np.eye(k)[ell - 1]
 
 
-def survival_vector(spec: ModelSpec, n: int) -> np.ndarray:
+def survival_vector(model, n: int) -> np.ndarray:
     """Probability that one individual of each type has descendants n generations on."""
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    return complement_orbit(spec, n, _orbit_start(spec.k, None))[n]
+    return complement_orbit(model, n, _orbit_start(model.k, None))[n]
 
 
-def type_survival_vector(spec: ModelSpec, n: int, ell: int) -> np.ndarray:
+def type_survival_vector(model, n: int, ell: int) -> np.ndarray:
     """Probability of having at least one type-ell descendant n generations on."""
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    _check_type(spec, ell)
-    return complement_orbit(spec, n, _orbit_start(spec.k, ell))[n]
+    _check_type(model, ell)
+    return complement_orbit(model, n, _orbit_start(model.k, ell))[n]

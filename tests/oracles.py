@@ -9,10 +9,13 @@ None of these run in a task, so they live beside the tests rather than in
   against each other for any tail functions.
 - `spine_decomposition_test` is a Monte Carlo check of the conditional
   independence of the subtrees around the leftmost surviving lineage.
+- `lf_to_modelspec` truncates an LF law to a finite-support spec, so the
+  finite-support arithmetic can check the LF closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -27,6 +30,7 @@ from mtcpp.errors import (
     NumericConsistencyError,
     SchemaError,
 )
+from mtcpp.lf import LFParams
 from mtcpp.model import ModelSpec, mean_matrix, survival_vector
 
 
@@ -387,3 +391,53 @@ def spine_decomposition_test(
         post_mean_max_z=float(post_z),
         passed=passed,
     )
+
+
+# -- truncated linear-fractional law -----------------------------------------
+
+
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def lf_to_modelspec(params: LFParams, truncate_at: int) -> ModelSpec:
+    """Finite-support approximation of the LF pmf.
+
+    Keeps offspring vectors with total count <= truncate_at and
+    renormalizes.  The dropped geometric tail has mass
+    (1 - h_{l0}) (m/(1+m))^truncate_at per parent type; the call refuses
+    to truncate if that exceeds 1e-10.
+    """
+    k, m = params.k, params.m
+    q = m / (1.0 + m)
+    worst = float((1.0 - params.h0).max()) * q**truncate_at
+    if worst >= 1e-10:
+        raise GuardError(
+            f"truncate_at={truncate_at} leaves mass {worst:.3e} >= 1e-10 in the geometric tail"
+        )
+    log_g = np.where(params.g > 0, np.log(np.where(params.g > 0, params.g, 1.0)), -np.inf)
+    pmf: dict[int, dict[tuple[int, ...], float]] = {}
+    for ell in range(1, k + 1):
+        rows: dict[tuple[int, ...], float] = {(0,) * k: float(params.h0[ell - 1])}
+        for first in range(k):
+            h = float(params.H[ell - 1, first])
+            if h == 0.0:
+                continue
+            for j in range(truncate_at):
+                base = h * q**j / (1.0 + m)
+                for w in _compositions(j, k):
+                    if any(w[i] > 0 and params.g[i] == 0.0 for i in range(k)):
+                        continue
+                    logmult = math.lgamma(j + 1) - sum(math.lgamma(c + 1) for c in w)
+                    weight = base * math.exp(logmult + sum(c * lg for c, lg in zip(w, log_g) if c))
+                    key = tuple(w[i] + (1 if i == first else 0) for i in range(k))
+                    rows[key] = rows.get(key, 0.0) + weight
+        total = sum(rows.values())
+        pmf[ell] = {z: p / total for z, p in rows.items()}
+    return ModelSpec.from_pmf(pmf, k=k)

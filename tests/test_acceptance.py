@@ -33,18 +33,17 @@ from mtcpp.lf import (
     LFParams,
     lf_coalescence_law,
     lf_iterate_sequence,
-    lf_mean_matrix,
     lf_sametype_law,
-    lf_to_modelspec,
     lf_typefree_laws,
     two_type_compare,
     two_type_weight_poly,
 )
-from mtcpp.model import ModelSpec
+from mtcpp.model import ModelSpec, mean_matrix
 from mtcpp.rng import stream
 from oracles import (
     EventQuery,
     intensity_check,
+    lf_to_modelspec,
     oracle_enumerate,
     spine_decomposition_test,
 )
@@ -117,7 +116,7 @@ def _walk_fixtures() -> list[tuple[str, LFParams]]:
     for label, k in (("rand-k2", 2), ("rand-k3a", 3), ("rand-k3b", 3)):
         while True:
             cand = random_lf_params(rng, k=k)
-            if 1.05 <= _spectral_radius(lf_mean_matrix(cand)) <= 2.2:
+            if 1.05 <= _spectral_radius(mean_matrix(cand)) <= 2.2:
                 out.append((label, cand))
                 break
     return out

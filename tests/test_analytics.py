@@ -22,12 +22,12 @@ from mtcpp.lf import (
     LFParams,
     lf_coalescence_law,
     lf_sametype_law,
-    lf_to_modelspec,
     lf_typefree_laws,
 )
 from mtcpp.model import ModelSpec
 from mtcpp.rng import stream
 from oracles import (
+    lf_to_modelspec,
     EventQuery,
     IntensityReport,
     intensity_check,

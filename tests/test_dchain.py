@@ -30,7 +30,7 @@ from mtcpp.forest import (
     coalescence_times,
     simulate_standing,
 )
-from mtcpp.lf import lf_coalescence_law, lf_pgf
+from mtcpp.lf import lf_coalescence_law
 from mtcpp.model import ModelSpec, mean_matrix, pgf_eval_all, survival_vector
 from mtcpp.rng import stream
 
@@ -251,11 +251,7 @@ def _reference_survival_rows(model, n):
     """Survival rows p_0..p_n computed afresh, without the per-model cache."""
     p = [np.ones(model.k)]
     for _ in range(n):
-        s = 1.0 - p[-1]
-        if isinstance(model, ModelSpec):
-            f = pgf_eval_all(model, s)
-        else:
-            f = np.array([lf_pgf(model, ell, s) for ell in range(1, model.k + 1)])
+        f = pgf_eval_all(model, 1.0 - p[-1])
         p.append(1.0 - np.clip(f, 0.0, 1.0))
     return [row.tolist() for row in p]
 

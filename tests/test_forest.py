@@ -18,9 +18,10 @@ from mtcpp.forest import (
     simulate_forward,
     simulate_standing,
 )
-from mtcpp.lf import LFParams, lf_coalescence_law, lf_to_modelspec, two_type_models
+from mtcpp.lf import LFParams, lf_coalescence_law, two_type_models
 from mtcpp.model import ModelSpec, mean_matrix, survival_vector
 from mtcpp.rng import stream
+from oracles import lf_to_modelspec
 
 
 def f1_tree() -> PlanarTree:

@@ -9,15 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtcpp import dchain
+from mtcpp import dchain, forest
 from mtcpp.analytics import A1_tail
 from mtcpp.cli import build_config, main
-from mtcpp.errors import SchemaError, ValidationFailure
+from mtcpp.errors import GuardError, SchemaError, ValidationFailure
 from mtcpp.harness import (
     EstimateRow,
     KSResult,
     RunConfig,
     _chain_observations,
+    _skip_none,
     _stationary_tallies,
     estimates_to_csv,
     ks_compare,
@@ -317,9 +318,17 @@ def test_mc_estimate_first_pair_matches_conditioned_law(e1):
         assert r.analytic_value == pytest.approx(A1_tail(e1, top, r.n))
 
 
-def test_mc_estimate_first_pair_refuses_lf(lf1):
-    with pytest.raises(SchemaError):
-        mc_estimate("a_first", lf1, 6, 100, seed=1)
+def test_mc_estimate_first_pair_scores_lf(lf1):
+    # the generic Jacobian walk gives LF models the conditioned law too; on
+    # an LF model it does not depend on the ancestor's type
+    rows = mc_estimate("a_first", lf1, 7, 4000, seed=11, n_max=3)
+    scored = [r for r in rows if r.z_score is not None]
+    assert scored, "no nondegenerate conditioning cells"
+    assert all(abs(r.z_score) <= 4.0 for r in scored)
+    for r in rows:
+        top = int(r.statistic.split("top=")[1].rstrip("]"))
+        assert r.analytic_value == A1_tail(lf1, top, r.n)
+        assert r.analytic_value == pytest.approx(lf_coalescence_law(lf1, r.n), abs=1e-9)
 
 
 def test_mc_estimate_stationary_tracks_lf_laws(lf1):
@@ -658,6 +667,30 @@ def test_laws_task_exact_on_explosive_model(tmp_path):
     # an individual has six children or none, so one standing descendant
     # is impossible below the root's own generation
     assert [float(r.split(",")[-1]) for r in rows if r.startswith("a_tail")] == [1.0] + [0.0] * 5
+
+
+def test_skip_none_stops_at_the_rejection_cap(monkeypatch):
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 3)
+    assert list(_skip_none(iter([None, 1, None, None, 2]), "misses")) == [1, 2]
+    with pytest.raises(GuardError, match="3 misses in a row"):
+        list(_skip_none(iter([1, None, None, None, 2]), "misses"))
+
+
+def test_dchain_task_stops_when_no_pair_can_coalesce(tmp_path, monkeypatch, capsys):
+    # a type-1 parent has at most one child, of type 1: a type-1 root never
+    # has two standing descendants, so every chain pair is censored
+    lonely = ModelSpec.from_pmf(
+        {1: {(0, 0): 0.5, (1, 0): 0.5}, 2: {(0, 0): 0.5, (0, 2): 0.5}}
+    )
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 40)
+    cfg = RunConfig(
+        task="dchain", seed=1, out_dir=str(tmp_path), model=lonely,
+        samples=50, horizon=4, n_max=3,
+    )
+    assert run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: GuardError: 40 chain pairs were censored in a row")
+    _assert_error_report(tmp_path, err, "GuardError", 2)
 
 
 def test_run_maps_impossible_model_to_exit_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,18 +11,17 @@ from mtcpp.lf import (
     lf_coalescence_law,
     lf_iterate,
     lf_iterate_sequence,
-    lf_mean_matrix,
-    lf_pgf,
     lf_sample_offspring,
     lf_sametype_law,
-    lf_to_modelspec,
     lf_typefree_laws,
     two_type_compare,
     two_type_models,
     two_type_weight_poly,
 )
-from mtcpp.model import mean_matrix, pgf_eval
+from mtcpp.analytics import A1_tail, B1_tail
+from mtcpp.model import complement_orbit, mean_matrix, pgf_eval, pgf_eval_all, pgf_partial
 from mtcpp.rng import stream
+from oracles import lf_to_modelspec
 
 from conftest import random_lf_params
 
@@ -36,9 +37,9 @@ def lf_params(draw) -> LFParams:
 
 
 def test_lf_pgf_frozen(lf1):
-    assert lf_pgf(lf1, 1, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
-    assert lf_pgf(lf1, 1, [0.0, 0.0]) == pytest.approx(0.3, abs=1e-12)
-    assert lf_pgf(lf1, 1, [1.0, 0.0]) == pytest.approx(0.3 + 0.3 / 1.9, abs=1e-12)
+    assert pgf_eval(lf1, 1, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert pgf_eval(lf1, 1, [0.0, 0.0]) == pytest.approx(0.3, abs=1e-12)
+    assert pgf_eval(lf1, 1, [1.0, 0.0]) == pytest.approx(0.3 + 0.3 / 1.9, abs=1e-12)
 
 
 def test_lf_params_validation():
@@ -61,12 +62,73 @@ def test_lf_to_modelspec_matches_pgf(lf1):
     spec = lf_to_modelspec(lf1, truncate_at=60)
     for ell in (1, 2):
         for s in ([0.5, 0.5], [0.0, 1.0], [0.3, 0.8]):
-            assert pgf_eval(spec, ell, s) == pytest.approx(lf_pgf(lf1, ell, s), abs=1e-9)
+            assert pgf_eval(spec, ell, s) == pytest.approx(pgf_eval(lf1, ell, s), abs=1e-9)
 
 
 def test_lf_to_modelspec_mean_matrix(lf1):
     spec = lf_to_modelspec(lf1, truncate_at=60)
-    np.testing.assert_allclose(mean_matrix(spec), lf_mean_matrix(lf1), atol=1e-9)
+    np.testing.assert_allclose(mean_matrix(spec), mean_matrix(lf1), atol=1e-9)
+
+
+# -- the model interface: LF closed forms behind the generic routes ---------
+
+#: Three-type LF model, rho ~ 1.26.
+LF3 = LFParams(
+    k=3,
+    H=np.array([[0.3, 0.2, 0.2], [0.1, 0.4, 0.2], [0.2, 0.2, 0.3]]),
+    g=np.array([0.5, 0.3, 0.2]),
+    m=0.8,
+)
+
+
+@pytest.mark.parametrize("model", ["lf1", "lf3"])
+def test_lf_complement_step_is_one_minus_f(model, request):
+    params = LF3 if model == "lf3" else request.getfixturevalue(model)
+    rng = np.random.default_rng(5)
+    for q in [np.zeros(params.k), np.ones(params.k), *rng.uniform(size=(200, params.k))]:
+        want = 1.0 - pgf_eval_all(params, 1.0 - q)
+        np.testing.assert_allclose(params.complement_step(q), want, rtol=0, atol=1e-15)
+
+
+def test_lf_jacobian_at_one_is_the_mean_matrix(lf1):
+    # M = H + m (H 1) g^T: the first child, then m g-typed ones on average
+    M = lf1.H + lf1.m * np.outer(lf1.H.sum(axis=1), lf1.g)
+    np.testing.assert_allclose(mean_matrix(lf1), M, rtol=0, atol=1e-15)
+    for i, t in product(range(1, 3), repeat=2):
+        assert pgf_partial(lf1, i, t, np.ones(2)) == pytest.approx(M[i - 1, t - 1], abs=1e-14)
+
+
+@pytest.mark.parametrize("model", ["lf1", "lf3"])
+def test_generic_first_pair_laws_are_the_lf_laws(model, request):
+    # a third route for the LF laws: the Jacobian-product walk on the LF
+    # closed forms, conditioned on any ancestor type
+    params = LF3 if model == "lf3" else request.getfixturevalue(model)
+    types = range(1, params.k + 1)
+    for n in range(11):
+        want = lf_coalescence_law(params, n)
+        for top in types:
+            assert abs(A1_tail(params, top, n) - want) <= 1e-9
+        for ell, top in product(types, types):
+            if n == 0 and top != ell:
+                continue  # a type-top individual is not of type ell
+            want = lf_sametype_law(params, ell, n)
+            assert abs(B1_tail(params, ell, top, n) - want) <= 1e-9
+
+
+def test_generic_sametype_law_matches_the_truncated_spec(lf1):
+    spec = lf_to_modelspec(lf1, truncate_at=60)
+    for ell, top, n in product((1, 2), (1, 2), range(9)):
+        if n == 0 and top != ell:
+            continue  # a type-top individual is not of type ell
+        assert abs(B1_tail(lf1, ell, top, n) - B1_tail(spec, ell, top, n)) <= 1e-9
+
+
+def test_lf_survival_orbit_matches_the_truncated_spec(lf1):
+    spec = lf_to_modelspec(lf1, truncate_at=60)
+    for s in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.0]):
+        np.testing.assert_allclose(
+            complement_orbit(lf1, 12, s), complement_orbit(spec, 12, s), rtol=1e-9, atol=0
+        )
 
 
 def test_lf_to_modelspec_tiny_m():
@@ -223,7 +285,7 @@ def test_two_type_csv_shape():
 @settings(max_examples=30, deadline=None)
 def test_iterate_identities(params):
     k, g = params.k, params.g
-    M = lf_mean_matrix(params)
+    M = mean_matrix(params)
     ones = np.ones(k)
     its = lf_iterate_sequence(params, 50)
     Mpow = np.eye(k)
@@ -244,7 +306,7 @@ def test_iterate_identities(params):
 @settings(max_examples=30, deadline=None)
 def test_iterate_telescoping(params):
     k, m, g = params.k, params.m, params.g
-    M = lf_mean_matrix(params)
+    M = mean_matrix(params)
     ones = np.ones(k)
     its = lf_iterate_sequence(params, 50)
     Mpow = np.eye(k)
