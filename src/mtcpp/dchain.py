@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .forest import DEFAULT_REJECTION_CAP, PlanarTree, _offspring_sampler
-from .model import _check_type, _is_json_int, pgf_eval_all
+from .model import _is_json_int, pgf_eval_all
 from . import forest as _forest
 
 __all__ = [
@@ -175,7 +175,9 @@ def sample_eta(
         raise SchemaError(f"spine depth must be >= 0, got {n}")
     if n == 0:
         return ()
-    _check_type(model, ell)
+    k = model.k
+    if not 1 <= ell <= k:
+        raise SchemaError(f"type {ell} outside 1..{k}")
     p_rows = _survival_rows(model, n)
     if p_rows[n][ell - 1] <= 0.0:
         raise ImpossibleConditioningError(

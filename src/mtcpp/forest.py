@@ -168,9 +168,13 @@ def _offspring_sampler(model: Model, ordering: str | None):
     """Return a callable (type, rng) -> ordered 1-based offspring type list.
 
     ordering None picks the model's default planar order; both kinds keep
-    their sampling tables from construction.
+    their sampling tables from construction.  The chain builds a sampler on
+    every step, so the common cases make no further call.
     """
-    ordering = planar_ordering(model, ordering)
+    if ordering is None:
+        ordering = model.orderings[0]
+    elif ordering not in model.orderings:
+        planar_ordering(model, ordering)  # raises: unknown, or not this model's
     if isinstance(model, LFParams):
         # drawn through this module's name, which bench/tracer.py counts
         if ordering == "lf_first":
