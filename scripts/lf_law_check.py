@@ -4,7 +4,6 @@
 # statistic.  A healthy model keeps every |z| under 4.
 
 import argparse
-import json
 import sys
 
 from mtcpp.harness import mc_estimate

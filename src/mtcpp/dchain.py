@@ -252,16 +252,12 @@ def extract_dstates(tree: PlanarTree) -> list[DState]:
     if w < 1:
         raise SchemaError("standing population is empty")
     T = tree.horizon
-    # survival flags per layer: a node survives iff it has standing progeny
-    surviving: list[np.ndarray] = [None] * (T + 1)
-    surviving[T] = np.ones(w, dtype=bool)
-    for j in range(T, 0, -1):
-        flags = np.zeros(len(tree.types[j - 1]), dtype=bool)
-        p = tree.parents[j]
-        if len(p):
-            flags[np.unique(p[surviving[j]]) - 1] = True
-        surviving[j - 1] = flags
-    anc = _forest._ancestor_levels(tree)
+    anc = list(_forest._ancestor_walk(tree))
+    # surviving[n]: flags of layer T - n; a node survives iff it is the
+    # depth-n ancestor of some standing individual
+    surviving = [np.zeros(len(t), dtype=bool) for t in reversed(tree.types)]
+    for flags, level in zip(surviving, anc):
+        flags[level - 1] = True
     states = []
     for i in range(1, w + 1):
         levels = []
@@ -271,7 +267,7 @@ def extract_dstates(tree: PlanarTree) -> list[DState]:
             layer = T - n + 1
             children = tree.parents[layer] == node
             idx = np.flatnonzero(children) + 1
-            keep = idx[(idx >= rep) & surviving[layer][idx - 1]]
+            keep = idx[(idx >= rep) & surviving[n - 1][idx - 1]]
             levels.append(tuple(int(tree.types[layer][c - 1]) for c in keep))
         states.append(DState(i=i, levels=tuple(levels), horizon=T))
     return states

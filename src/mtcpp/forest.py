@@ -77,6 +77,13 @@ class PlanarTree:
                 f"and {len(self.parents)} parent layers"
             )
         for j, (t, p) in enumerate(zip(self.types, self.parents)):
+            for what, layer in (("type", t), ("parent", p)):
+                if not isinstance(layer, np.ndarray) or layer.ndim != 1:
+                    raise SchemaError(f"layer {j} {what} entries must be a 1-D numpy array")
+                if layer.size and not np.issubdtype(layer.dtype, np.integer):
+                    raise SchemaError(
+                        f"layer {j} {what} entries must be integers, got dtype {layer.dtype}"
+                    )
             if t.shape != p.shape:
                 raise SchemaError(f"layer {j} type/parent arrays differ in length")
             if t.size and np.min(t) < 1:
@@ -201,36 +208,32 @@ def _offspring_sampler(model: Model, ordering: str | None):
     return sample_spec
 
 
-def _simulate_layers(sample, root_type: int, depth: int, rng, node_cap: int):
-    """Raw (types, parents) layer lists of one simulated tree."""
-    types_layers = [[root_type]]
-    parent_layers = [[0]]
+def _grow_tree(sample, root_type: int, types, parents, rng, node_cap: int) -> list[int]:
+    """Append one simulated tree to the forest's layer lists, right of the
+    trees already there; return the layer lengths before it.
+
+    Parent entries are shifted past the nodes already in the layer above.
+    """
+    start = [len(t) for t in types]
+    types[0].append(root_type)
+    parents[0].append(0)
     total = 1
-    for _ in range(depth):
-        cur = types_layers[-1]
-        child_types: list[int] = []
-        child_parents: list[int] = []
-        for idx, t in enumerate(cur):
-            off = sample(t, rng)
-            child_types.extend(off)
-            child_parents.extend([idx + 1] * len(off))
-        total += len(child_types)
+    for j in range(1, len(types)):
+        above, layer_types, layer_parents = types[j - 1], types[j], parents[j]
+        for idx in range(start[j - 1], len(above)):
+            off = sample(above[idx], rng)
+            layer_types.extend(off)
+            layer_parents.extend([idx + 1] * len(off))
+        total += len(layer_types) - start[j]
         if total > node_cap:
             raise GuardError(
                 f"tree exceeded the node cap ({node_cap}); model likely supercritical"
             )
-        types_layers.append(child_types)
-        parent_layers.append(child_parents)
-    return types_layers, parent_layers
+    return start
 
 
-def _layers_to_tree(types_layers, parent_layers, depth: int, rejections: int) -> PlanarTree:
-    return PlanarTree(
-        root_generation=-depth,
-        types=tuple(np.asarray(t, dtype=np.int64) for t in types_layers),
-        parents=tuple(np.asarray(p, dtype=np.int64) for p in parent_layers),
-        rejections=rejections,
-    )
+def _layers(lists) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(t, dtype=np.int64) for t in lists)
 
 
 def simulate_forward(
@@ -252,32 +255,9 @@ def simulate_forward(
         raise SchemaError(f"depth must be >= 1, got {depth}")
     _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
-    types_layers, parent_layers = _simulate_layers(sample, root_type, depth, rng, node_cap)
-    return _layers_to_tree(types_layers, parent_layers, depth, 0)
-
-
-def _concat_trees(trees: list[PlanarTree], rejections: int) -> PlanarTree:
-    depth = trees[0].horizon
-    types_layers = []
-    parent_layers = []
-    for j in range(depth + 1):
-        types_layers.append(np.concatenate([t.types[j] for t in trees]))
-        parts = []
-        offset = 0
-        for t in trees:
-            p = t.parents[j]
-            if j == 0:
-                parts.append(p)
-            else:
-                parts.append(p + offset)
-                offset += len(t.types[j - 1])
-        parent_layers.append(np.concatenate(parts))
-    return PlanarTree(
-        root_generation=-depth,
-        types=tuple(types_layers),
-        parents=tuple(parent_layers),
-        rejections=rejections,
-    )
+    types, parents = [[] for _ in range(depth + 1)], [[] for _ in range(depth + 1)]
+    _grow_tree(sample, root_type, types, parents, rng, node_cap)
+    return PlanarTree(-depth, _layers(types), _layers(parents))
 
 
 def simulate_standing(
@@ -293,11 +273,12 @@ def simulate_standing(
     """Simulate trees conditioned on a nonempty standing population.
 
     Independent depth-T trees are drawn until at least target_width
-    standing individuals survive, and the surviving trees are laid side by
-    side in draw order: the result is a planar forest with one root per
-    survivor, or the first surviving tree itself when it is wide enough
-    alone.  The rejections field counts the discarded extinct attempts.
-    ordering None takes the model's default planar order, as the chain does.
+    standing individuals survive.  Each surviving tree is laid into one
+    planar forest as it is drawn, right of the survivors before it, so the
+    result has one root per survivor (a lone survivor is a one-root
+    forest) and is checked once, as a whole.  The rejections field counts
+    the discarded extinct attempts.  ordering None takes the model's
+    default planar order, as the chain does.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
@@ -305,24 +286,20 @@ def simulate_standing(
         raise SchemaError(f"target width must be >= 1, got {target_width}")
     _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
+    types, parents = [[] for _ in range(T + 1)], [[] for _ in range(T + 1)]
     rejections = 0
-    survivors: list[PlanarTree] = []
-    got = 0
-    while True:
+    while len(types[T]) < target_width:
         if rejections >= rejection_cap:
             raise GuardError(
                 f"no surviving tree within {rejection_cap} attempts at horizon {T}"
             )
-        # extinct attempts are discarded before any tree object is built
-        layers = _simulate_layers(sample, root_type, T, rng, node_cap)
-        if not layers[0][-1]:
+        start = _grow_tree(sample, root_type, types, parents, rng, node_cap)
+        if len(types[T]) == start[T]:
+            # extinct: take the attempt out of the forest again
+            for layer, n in zip(types + parents, start + start):
+                del layer[n:]
             rejections += 1
-            continue
-        tree = _layers_to_tree(*layers, T, rejections)
-        survivors.append(tree)
-        got += tree.width
-        if got >= target_width:
-            return tree if len(survivors) == 1 else _concat_trees(survivors, rejections)
+    return PlanarTree(-T, _layers(types), _layers(parents), rejections)
 
 
 def ancestor_index(tree: PlanarTree, i: int, n: int) -> int:
@@ -339,14 +316,13 @@ def ancestor_index(tree: PlanarTree, i: int, n: int) -> int:
     return idx
 
 
-def _ancestor_levels(tree: PlanarTree) -> np.ndarray:
-    """anc[n, i-1] = a_i(n) for every standing i, n = 0..T."""
-    T = tree.horizon
-    anc = np.empty((T + 1, tree.width), dtype=np.int64)
-    anc[0] = np.arange(1, tree.width + 1)
-    for n in range(1, T + 1):
-        anc[n] = tree.parents[T + 1 - n][anc[n - 1] - 1]
-    return anc
+def _ancestor_walk(tree: PlanarTree) -> Iterator[np.ndarray]:
+    """a_i(n) for every standing i, one level n = 0..T at a time."""
+    level = np.arange(1, tree.width + 1, dtype=np.int64)
+    yield level
+    for parents in reversed(tree.parents[1:]):
+        level = parents[level - 1]
+        yield level
 
 
 class CoalescentRecords(Sequence[CoalescentRecord]):
@@ -381,22 +357,32 @@ class CoalescentRecords(Sequence[CoalescentRecord]):
 def coalescence_times(tree: PlanarTree) -> CoalescentRecords:
     """Coalescent records of the consecutive standing pairs, left to right.
 
-    Returns an array-backed sequence: A, mass and the lineage types of
-    every pair are computed as arrays, and a CoalescentRecord is built
+    One upward walk over the ancestry levels fills A, the MRCA node of
+    every pair and the lineage types; no level is kept after the next is
+    read.  Returns an array-backed sequence: a CoalescentRecord is built
     only when an entry is indexed or iterated.
     """
     w = tree.width
     if w < 1:
         raise SchemaError("standing population is empty")
     T = tree.horizon
-    anc = _ancestor_levels(tree)
-    eqmat = anc[1:, :-1] == anc[1:, 1:]
-    a = np.where(eqmat.any(axis=0), eqmat.argmax(axis=0) + 1, 0)
+    a = np.zeros(w - 1, dtype=np.int64)
+    mrca = np.zeros(w - 1, dtype=np.int64)
+    # ancestry types of each right pair member, generations 0..-(T-1)
+    lineage = np.empty((T, w - 1), dtype=np.int64)
+    for n, level in enumerate(_ancestor_walk(tree)):
+        if n < T:
+            lineage[n] = tree.types[T - n][level[1:] - 1]
+        if n:
+            # ancestors stay equal once they meet, so the first level decides
+            met = np.flatnonzero((level[:-1] == level[1:]) & (a == 0))
+            a[met] = n
+            mrca[met] = level[met]
     # mass: suffix count of pairs sharing this pair's MRCA node, i.e. the
     # rank of the pair among its (a, node) group in descending position
     pos = np.flatnonzero(a)
     key_a = a[pos]
-    key_node = anc[key_a, pos]
+    key_node = mrca[pos]
     order = np.lexsort((-pos, key_node, key_a))
     key_a, key_node = key_a[order], key_node[order]
     starts = np.ones(len(order), dtype=bool)
@@ -405,11 +391,6 @@ def coalescence_times(tree: PlanarTree) -> CoalescentRecords:
     ranks -= np.maximum.accumulate(np.where(starts, ranks, 0))
     mass = np.ones(w - 1, dtype=np.int64)
     mass[pos[order]] = ranks + 1
-    # ancestry types of each right pair member, generations 0..-(T-1),
-    # filled row by row: stacking would hold the matrix twice
-    lineage = np.empty((T, w - 1), dtype=np.int64)
-    for n in range(T):
-        lineage[n] = tree.types[T - n][anc[n, 1:] - 1]
     return CoalescentRecords(a, mass, lineage)
 
 
@@ -457,11 +438,8 @@ def sametype_times(
 def ancestral_subtree(tree: PlanarTree) -> PlanarTree:
     """Restriction of the tree to ancestors of the standing population."""
     T = tree.horizon
-    keep: list[np.ndarray] = [None] * (T + 1)
-    keep[T] = np.arange(1, tree.width + 1, dtype=np.int64)
-    for j in range(T, 0, -1):
-        parents = tree.parents[j][keep[j] - 1]
-        keep[j - 1] = np.unique(parents)
+    # keep[j]: the nodes of layer j that are a depth-(T - j) ancestor
+    keep = [np.unique(level) for level in _ancestor_walk(tree)][::-1]
     types_layers = []
     parent_layers = []
     for j in range(T + 1):

@@ -134,6 +134,19 @@ class RunConfig:
                 f"validate on a finite-support model needs n_max <= horizon - 1, "
                 f"got n_max={self.n_max}, horizon={self.horizon}"
             )
+        if self.task == "dchain":
+            # every standing pair is censored when a surviving root always
+            # has exactly one standing descendant; the tolerance absorbs the
+            # rounding that puts A1_tail a few ulps above 1
+            try:
+                lone = 1.0 - A1_tail(self.model, self.root_type, self.horizon) <= 1e-12
+            except ImpossibleConditioningError:
+                lone = False  # the task reports the impossible root itself
+            if lone:
+                raise SchemaError(
+                    f"no pair can coalesce within horizon {self.horizon}: a surviving "
+                    f"type-{self.root_type} root has exactly one standing descendant"
+                )
 
 
 @dataclass(frozen=True)

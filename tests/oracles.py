@@ -239,8 +239,8 @@ def _first_generation_stats(tree) -> tuple[tuple[int, ...], int, tuple[int, ...]
     """(ordered child types, rank of first child with standing progeny,
     per-child first-generation sizes within their subtrees)."""
     child_types = tuple(int(t) for t in tree.types[1])
-    anc = forest._ancestor_levels(tree)
-    surviving_children = set(int(c) for c in anc[tree.horizon - 1])
+    ancestors = list(forest._ancestor_walk(tree))[tree.horizon - 1]
+    surviving_children = set(ancestors.tolist())
     rank = min(surviving_children)
     grandparents = tree.parents[2] if tree.horizon >= 2 else np.zeros(0, dtype=np.int64)
     sizes = tuple(int(np.sum(grandparents == c + 1)) for c in range(len(child_types)))

@@ -1,4 +1,5 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,37 @@ def test_tree_validation():
             types=(np.array([1]), np.array([1])),
             parents=(np.array([0]), np.array([1])),
         )
+
+
+def _one_generation_tree(standing_types, standing_parents) -> PlanarTree:
+    return PlanarTree(
+        root_generation=-1,
+        types=(np.array([1]), standing_types),
+        parents=(np.array([0]), standing_parents),
+    )
+
+
+@pytest.mark.parametrize(
+    "standing_types, standing_parents, message",
+    [
+        ([1, 2], np.array([1, 1]), "layer 1 type entries must be a 1-D numpy array"),
+        (np.array([1, 2]), [1, 1], "layer 1 parent entries must be a 1-D numpy array"),
+        (np.array([[1, 2]]), np.array([[1, 1]]), "must be a 1-D numpy array"),
+        (np.array([1.5]), np.array([1]), "layer 1 type entries must be integers"),
+        (np.array([1.0, 2.7]), np.array([1, 1]), "got dtype float64"),
+        (np.array([1, 2]), np.array([1.0, 1.0]), "layer 1 parent entries must be integers"),
+    ],
+    ids=["list-types", "list-parents", "2d", "float-one", "float-two", "float-parents"],
+)
+def test_tree_refuses_malformed_layers(standing_types, standing_parents, message):
+    with pytest.raises(SchemaError, match=message):
+        _one_generation_tree(standing_types, standing_parents)
+
+
+def test_tree_accepts_empty_layers_of_any_dtype():
+    tree = _one_generation_tree(np.array([]), np.zeros(0, dtype=np.float32))
+    assert tree.width == 0
+    assert dump_tree(tree) == "-1\t1\t1\t0\n"
 
 
 def test_node_accessors():
@@ -527,6 +559,21 @@ def test_ancestor_index_monotone(e1):
         for n in range(tree.horizon + 1):
             idx = [ancestor_index(tree, i, n) for i in range(1, w + 1)]
             assert idx == sorted(idx)
+
+
+def test_coalescence_memory_stays_near_its_output():
+    # the ancestry is walked one level at a time: no (T+1) x w matrix of
+    # ancestors, so the peak stays within a small factor of the returned arrays
+    tree = simulate_standing(LF3, 20, 20_000, stream(5, "memory"))
+    assert tree.width >= 20_000
+    tracemalloc.start()
+    try:
+        records = coalescence_times(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = records.a.nbytes + records.mass.nbytes + records.lineage_inf.nbytes
+    assert peak < 1.6 * returned
 
 
 def test_coalescence_small_cases():

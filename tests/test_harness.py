@@ -12,10 +12,9 @@ import pytest
 from mtcpp import dchain, forest
 from mtcpp.analytics import A1_tail
 from mtcpp.cli import build_config, main
-from mtcpp.errors import GuardError, SchemaError, ValidationFailure
+from mtcpp.errors import GuardError, SchemaError
 from mtcpp.harness import (
     EstimateRow,
-    KSResult,
     RunConfig,
     _chain_observations,
     _skip_none,
@@ -676,21 +675,62 @@ def test_skip_none_stops_at_the_rejection_cap(monkeypatch):
         list(_skip_none(iter([1, None, None, None, 2]), "misses"))
 
 
-def test_dchain_task_stops_when_no_pair_can_coalesce(tmp_path, monkeypatch, capsys):
+def test_dchain_task_stops_when_no_pair_can_coalesce(tmp_path, capsys):
     # a type-1 parent has at most one child, of type 1: a type-1 root never
-    # has two standing descendants, so every chain pair is censored
+    # has two standing descendants, so every chain pair would be censored;
+    # the run is refused before any sampling, with no output directory
     lonely = ModelSpec.from_pmf(
         {1: {(0, 0): 0.5, (1, 0): 0.5}, 2: {(0, 0): 0.5, (0, 2): 0.5}}
     )
+    for horizon in (4, 10):
+        # rounding puts the tail a few ulps above 1, not at it
+        assert abs(1.0 - A1_tail(lonely, 1, horizon)) <= 1e-12
+        with pytest.raises(SchemaError, match="no pair can coalesce within horizon"):
+            RunConfig(
+                task="dchain", seed=1, out_dir=str(tmp_path / "out"), model=lonely,
+                samples=50, horizon=horizon, n_max=3,
+            )
+    _refused_by_cli(
+        tmp_path, capsys, "--model-spec", lonely,
+        ["dchain", "--horizon", "4", "--samples", "50", "--n-max", "3"],
+        "no pair can coalesce within horizon 4",
+    )
+    # a type-2 root has two children, and other tasks do not need a pair
+    RunConfig(task="dchain", seed=1, out_dir="x", model=lonely, horizon=4, root_type=2)
+    RunConfig(task="simulate", seed=1, out_dir="x", model=lonely, horizon=4)
+
+
+def test_dchain_task_stops_after_a_run_of_censored_pairs(tmp_path, monkeypatch, capsys):
+    # a type-1 root has two standing descendants with probability about 1e-9,
+    # so the run passes the coalescence check and the chain guard stops it
+    rare = ModelSpec.from_pmf(
+        {1: {(0, 0): 0.5, (1, 0): 0.5 - 1e-9, (2, 0): 1e-9}, 2: {(0, 0): 1.0}}
+    )
+    assert 1.0 - A1_tail(rare, 1, 4) > 1e-12
     monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 40)
     cfg = RunConfig(
-        task="dchain", seed=1, out_dir=str(tmp_path), model=lonely,
+        task="dchain", seed=1, out_dir=str(tmp_path), model=rare,
         samples=50, horizon=4, n_max=3,
     )
     assert run(cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("mtcpp: GuardError: 40 chain pairs were censored in a row")
     _assert_error_report(tmp_path, err, "GuardError", 2)
+
+
+def test_cli_reports_a_root_that_cannot_survive_with_exit_1(tmp_path, capsys):
+    # the coalescence check leaves an impossible root to the task's report
+    doomed = ModelSpec.from_pmf({1: {(0,): 1.0}})
+    path = tmp_path / "model.json"
+    path.write_text(doomed.to_json())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["dchain", "--model-spec", str(path), "--seed", "3", "--out", str(out),
+              "--samples", "50", "--horizon", "4"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: ImpossibleConditioningError: ")
+    _assert_error_report(out, err.splitlines()[0] + "\n", "ImpossibleConditioningError", 1)
 
 
 def test_run_maps_impossible_model_to_exit_1(tmp_path, capsys):

@@ -37,3 +37,37 @@ def test_scipy_is_listed_only_as_a_test_dependency():
     assert names(project["dependencies"]) == ["numpy"]
     extras = project["optional-dependencies"]
     assert [extra for extra, deps in extras.items() if "scipy" in names(deps)] == ["test"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; names in `__all__` count as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = [
+        m
+        for folder in ("src/mtcpp", "tests", "scripts")
+        for m in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert len(modules) > 20
+    unused = {
+        str(m.relative_to(ROOT)): names for m in modules if (names := _unused_imports(m))
+    }
+    assert unused == {}
