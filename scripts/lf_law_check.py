@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-# Monte Carlo check of the linear-fractional coalescence laws: runs the
-# stationary chain at several horizons and prints worst z-scores per
-# statistic.  A healthy model keeps every |z| under 4.
+# Monte Carlo check of the linear-fractional coalescence laws: runs one
+# stationary chain pass per horizon and prints the worst z-score of each
+# statistic it scores.  A healthy model keeps every |z| under 4.
 
 import argparse
+import itertools
 import sys
 
 from mtcpp.harness import mc_estimate
@@ -22,20 +23,17 @@ def main():
     with open(args.params) as fh:
         params = LFParams.from_json(fh.read())
 
-    statistics = ["a_stationary"] + [
-        f"b_stationary:{ell}" for ell in range(1, params.k + 1)
-    ]
     failed = False
     print("horizon  statistic        rows  max|z|")
     for T in args.horizons:
-        for statistic in statistics:
-            rows = mc_estimate(
-                statistic, params, T, args.samples, args.seed, n_max=args.n_max
-            )
-            zs = [abs(r.z_score) for r in rows if r.z_score is not None]
+        # one chain pass per horizon gives the rows of every statistic
+        rows = mc_estimate("stationary", params, T, args.samples, args.seed, n_max=args.n_max)
+        for statistic, group in itertools.groupby(rows, key=lambda r: r.statistic):
+            group = list(group)
+            zs = [abs(r.z_score) for r in group if r.z_score is not None]
             worst = max(zs, default=0.0)
             flag = "" if worst <= 4.0 else "  <-- FAIL"
-            print(f"{T:7d}  {statistic:15s} {len(rows):5d}  {worst:6.3f}{flag}")
+            print(f"{T:7d}  {statistic:15s} {len(group):5d}  {worst:6.3f}{flag}")
             failed = failed or worst > 4.0
     sys.exit(3 if failed else 0)
 

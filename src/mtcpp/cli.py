@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import SchemaError
@@ -99,13 +98,8 @@ def _two_type_from_config(doc: dict):
         return None
     if not isinstance(block, dict) or set(block) != {"g", "p", "h1", "m"}:
         raise SchemaError("config 'two_type' needs exactly the keys g, p, h1, m")
-    values = tuple(block[key] for key in ("g", "p", "h1", "m"))
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise SchemaError(f"config 'two_type' values must be numbers, got {block}")
-    values = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in values):
-        raise SchemaError(f"config 'two_type' values must be finite, got {block}")
-    return values
+    # RunConfig checks the values
+    return tuple(block[key] for key in ("g", "p", "h1", "m"))
 
 
 def build_config(argv: list[str]) -> RunConfig:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -123,6 +124,16 @@ class RunConfig:
                 )
         elif self.two_type is not None:
             raise SchemaError(f"task {self.task!r} needs a model spec or LF parameters")
+        if self.two_type is not None:
+            values = self.two_type
+            real = isinstance(values, (tuple, list)) and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+            )
+            if not (real and len(values) == 4 and all(map(math.isfinite, values))):
+                raise SchemaError(
+                    f"two_type must be four finite real numbers (g, p, h1, m), got {values!r}"
+                )
+            object.__setattr__(self, "two_type", tuple(map(float, values)))
         # argparse limits --ordering; a config file does not
         planar_ordering(self.model, self.ordering)
         if self.model is not None and not 1 <= self.root_type <= self.model.k:
@@ -312,12 +323,16 @@ def _stationary_tallies(model, T, count, rng, ordering, root_type, b_types):
     return a_values, a_censored, b_values, b_censored
 
 
-def _tail_rows(statistic, values, censored, T, n_max, analytic_fn):
+def _tail_rows(model, ell, values, censored, T, n_max):
+    """Tail rows of A (ell None) or B_ell; exact stationary laws, and so the
+    analytic column, are known for LF models only."""
+    statistic = "a_stationary" if ell is None else f"b_stationary:{ell}"
+    exact = isinstance(model, LFParams)
     values = np.asarray(values, dtype=np.int64)
     total = len(values) + censored
     rows = []
     for n in range(n_max + 1):
-        analytic = None if analytic_fn is None else analytic_fn(n)
+        analytic = _exact_tail(model, ell, None, n) if exact else None
         if n <= T:
             # censored observations still resolve the indicator at depth n
             at_risk = total
@@ -344,6 +359,29 @@ def _exact_tail(model, ell: int | None, top: int | None, n: int) -> float:
     return A1_tail(model, top, n) if ell is None else B1_tail(model, ell, top, n)
 
 
+def _stationary_pass(model, T, samples, seed, ordering, root_type, n_max, b_types):
+    """One censored-restart chain pass of `samples` transitions over the
+    replicate streams keyed "stationary": the rows of A and of each B_ell
+    in `b_types`, and the observed A values.  Tallying B draws no random
+    numbers, so the A part does not depend on `b_types`."""
+    parts = _run_replicates(
+        lambda count, rng: _stationary_tallies(model, T, count, rng, ordering, root_type, b_types),
+        seed, "stationary", samples,
+    )
+    # each part is (a_values, a_censored, b_values, b_censored)
+    a_values = [v for p in parts for v in p[0]]
+    if not a_values:
+        raise GuardError(
+            f"all {samples} chain pairs were censored; the root type may rarely "
+            f"reach two standing descendants at horizon {T}"
+        )
+    rows = _tail_rows(model, None, a_values, sum(p[1] for p in parts), T, n_max)
+    for ell in b_types:
+        b_values = [v for p in parts for v in p[2][ell]]
+        rows += _tail_rows(model, ell, b_values, sum(p[3][ell] for p in parts), T, n_max)
+    return rows, a_values
+
+
 def mc_estimate(
     statistic: str,
     model,
@@ -362,11 +400,12 @@ def mc_estimate(
         states, one row per (depth n, ancestor type) conditioning cell,
         against the exact conditioned law `A1_tail`, on either model kind;
         `samples` counts independent states.
-      - "a_stationary": pair coalescence depths along one censored-restart
-        chain; `samples` counts chain transitions.  Analytic column filled
-        for LF models.
-      - "b_stationary:<ell>": same-type coalescence depths for standing
-        type ell along the same kind of chain run.
+      - "stationary": pair coalescence depths (rows `a_stationary`) and
+        same-type coalescence depths for every standing type ell (rows
+        `b_stationary:<ell>`), all read from one censored-restart chain
+        pass; `samples` counts chain transitions.  Analytic column filled
+        for LF models.  A pass in which every pair is censored raises
+        GuardError.
 
     Censored observations (deeper than T) stay in the at-risk set for
     rows with n <= T, where their indicator is known; for deeper rows
@@ -410,33 +449,11 @@ def mc_estimate(
             raise ValidationFailure("zero at-risk count in every conditioning cell")
         return rows
 
-    if statistic == "a_stationary" or statistic.startswith("b_stationary:"):
-        ell = None
-        if statistic.startswith("b_stationary:"):
-            try:
-                ell = int(statistic.split(":", 1)[1])
-            except ValueError as exc:
-                raise SchemaError(f"bad statistic id {statistic!r}") from exc
-            if not 1 <= ell <= model.k:
-                raise SchemaError(f"type index {ell} out of range 1..{model.k}")
-        b_types = [] if ell is None else [ell]
-        parts = _run_replicates(
-            lambda count, rng: _stationary_tallies(
-                model, T, count, rng, ordering, root_type, b_types
-            ),
-            seed,
-            statistic,
-            samples,
-        )
-        # each part is (a_values, a_censored, b_values, b_censored)
-        values = [v for p in parts for v in (p[0] if ell is None else p[2][ell])]
-        censored = sum(p[1] if ell is None else p[3][ell] for p in parts)
-        # exact stationary laws are known for LF models only
-        exact = isinstance(model, LFParams)
-        analytic_fn = (lambda n: _exact_tail(model, ell, None, n)) if exact else None
-        return _tail_rows(statistic, values, censored, T, n_max, analytic_fn)
+    if statistic == "stationary":
+        b_types = range(1, model.k + 1)
+        return _stationary_pass(model, T, samples, seed, ordering, root_type, n_max, b_types)[0]
 
-    raise SchemaError(f"unknown statistic {statistic!r}")
+    raise SchemaError(f"unknown statistic {statistic!r}; choose 'a_first' or 'stationary'")
 
 
 # -- two-sample comparison ---------------------------------------------------
@@ -540,9 +557,7 @@ def _task_laws(cfg: RunConfig, out: dict) -> list[dict]:
 def _validate_statistics(model) -> list[str]:
     """The statistics `validate` scores: the stationary laws where they are
     known exactly (LF models), the first-pair law otherwise."""
-    if isinstance(model, LFParams):
-        return ["a_stationary"] + [f"b_stationary:{ell}" for ell in range(1, model.k + 1)]
-    return ["a_first"]
+    return ["stationary"] if isinstance(model, LFParams) else ["a_first"]
 
 
 def _task_validate(cfg: RunConfig, out: dict) -> list[dict]:
@@ -655,28 +670,12 @@ def _skip_none(items, what: str):
 
 
 def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
-    rows = mc_estimate(
-        "a_stationary",
-        cfg.model,
-        cfg.horizon,
-        cfg.samples,
-        cfg.seed,
-        ordering=cfg.ordering,
-        root_type=cfg.root_type,
-        n_max=cfg.n_max,
+    # the KS chain sample is the A values of the estimates' own pass
+    rows, chain_vals = _stationary_pass(
+        cfg.model, cfg.horizon, cfg.samples, cfg.seed, cfg.ordering,
+        cfg.root_type, cfg.n_max, b_types=[],
     )
     out["estimates.csv"] = estimates_to_csv(rows)
-
-    chain = _chain_observations(
-        cfg.model,
-        cfg.horizon,
-        stream(cfg.seed, "dchain", "chain-sample"),
-        cfg.ordering,
-        cfg.root_type,
-    )
-    # censored pairs carry no A; the chain stops at the last needed one
-    observed = _skip_none((a for _, a in chain), "chain pairs were censored")
-    chain_vals = list(itertools.islice(observed, cfg.samples))
 
     forest_vals: list[int] = []
     rng = stream(cfg.seed, "dchain", "forest-sample")

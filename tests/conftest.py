@@ -5,8 +5,7 @@ from mtcpp.lf import LFParams
 from mtcpp.model import ModelSpec
 
 
-@pytest.fixture
-def e1() -> ModelSpec:
+def e1_model() -> ModelSpec:
     """Two-type fixture: f1(s) = 1/2 + s1 s2 / 2, f2(s) = 1/2 + s1 / 2."""
     return ModelSpec.from_pmf(
         {
@@ -16,8 +15,7 @@ def e1() -> ModelSpec:
     )
 
 
-@pytest.fixture
-def s3() -> ModelSpec:
+def s3_model() -> ModelSpec:
     """Subcritical three-type model (rho ~ 0.77) with one-step lineage changes."""
     return ModelSpec.from_pmf(
         {
@@ -28,8 +26,7 @@ def s3() -> ModelSpec:
     )
 
 
-@pytest.fixture
-def lf1() -> LFParams:
+def lf1_model() -> LFParams:
     """Supercritical two-type LF fixture."""
     return LFParams(
         k=2,
@@ -37,6 +34,23 @@ def lf1() -> LFParams:
         g=np.array([0.4, 0.6]),
         m=1.5,
     )
+
+
+# the fixtures build fresh models per test; the builders also serve code that
+# runs outside pytest (`python tests/test_golden.py`)
+@pytest.fixture
+def e1() -> ModelSpec:
+    return e1_model()
+
+
+@pytest.fixture
+def s3() -> ModelSpec:
+    return s3_model()
+
+
+@pytest.fixture
+def lf1() -> LFParams:
+    return lf1_model()
 
 
 def random_lf_params(rng: np.random.Generator, k: int, m_range=(0.3, 2.5)) -> LFParams:

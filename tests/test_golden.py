@@ -1,29 +1,38 @@
 """Output bytes of small fixed-seed runs, pinned by SHA-256.
 
 A change that alters any emitted byte on purpose updates these digests and
-says so in CHANGES.md; any other digest change is a regression.
+says so in CHANGES.md; any other digest change is a regression.  Run this
+file as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
+current digests in the layout of GOLDEN, ready to paste, so that the diff
+shows exactly which digests moved.
 """
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from conftest import e1_model, lf1_model, s3_model
 from mtcpp.harness import RunConfig, run
 
-#: label -> (task, model fixture or None, settings)
+SEED = 20261018
+
+#: label -> (task, model builder or None, settings)
 JOBS = {
-    "laws-s3": ("laws", "s3", dict(n_max=10)),
+    "laws-s3": ("laws", s3_model, dict(n_max=10)),
     "compare-two-type": ("compare-two-type", None, dict(two_type=(0.3, 0.7, 0.5, 1.0), n_max=8)),
-    "validate-lf": ("validate", "lf1", dict(samples=2000, horizon=8, n_max=3)),
-    "validate-e1": ("validate", "e1", dict(samples=2000, horizon=6, n_max=3)),
-    "simulate-lf-1": ("simulate", "lf1", dict(samples=1, horizon=6)),
-    "simulate-lf-300": ("simulate", "lf1", dict(samples=300, horizon=6)),
-    "dchain-e1": ("dchain", "e1", dict(samples=1000, horizon=8, n_max=3)),
+    "validate-lf": ("validate", lf1_model, dict(samples=2000, horizon=8, n_max=3)),
+    "validate-e1": ("validate", e1_model, dict(samples=2000, horizon=6, n_max=3)),
+    "simulate-lf-1": ("simulate", lf1_model, dict(samples=1, horizon=6)),
+    "simulate-lf-300": ("simulate", lf1_model, dict(samples=300, horizon=6)),
+    "dchain-e1": ("dchain", e1_model, dict(samples=1000, horizon=8, n_max=3)),
     # the finite-support shuffled sampler on the forest path
-    "simulate-e1": ("simulate", "e1", dict(samples=300, horizon=6)),
+    "simulate-e1": ("simulate", e1_model, dict(samples=300, horizon=6)),
     # the LF shuffled sampler, the LF survival rows and the forest KS sample
     "dchain-lf-uniform": (
-        "dchain", "lf1", dict(samples=1000, horizon=6, n_max=3, ordering="uniform")
+        "dchain", lf1_model, dict(samples=1000, horizon=6, n_max=3, ordering="uniform")
     ),
 }
 
@@ -33,14 +42,14 @@ GOLDEN = {
         "report.json": "dc09c42b9afbe180b5695d7c8ff12b89725243ca5887dce983d4c4269eb8e7a0",
     },
     "dchain-e1": {
-        "compare.csv": "34fc6db26c70cf86afce2c773ae5a6cacd9f684e47ad7db6f5b239d26c0e3ba0",
-        "estimates.csv": "8108981c40d61d4d3ecc4ea1f38114005d083988ce94b74ba6f17ae81dd075b8",
-        "report.json": "0858b484394fb69c0bde3127e1f480243d5fbd965c5a52eebdb7f5e25295f13e",
+        "compare.csv": "658de7b38997f833dad6e422517d1325c297faa2c6254b008276ead3a56fb676",
+        "estimates.csv": "f893c17ed3f06415e79b889c621c58e5488608ae3e8b18252ce20cc43fccafae",
+        "report.json": "eef358cffd1fed5c26d89719065d874cbc914339b430446790a6e632360fb8b4",
     },
     "dchain-lf-uniform": {
-        "compare.csv": "b56bf05168e8071ab41e9d19c75f13a3526e89b1cec9c837f7d24ed6c11e308a",
-        "estimates.csv": "4b2690876ac4ec47fc86898cf173af3efda28688240b7c874be569146ffaa853",
-        "report.json": "44068cefd962d70ca154ba8422d92226c32b717a8b5ade29ecb6c9fb32db7700",
+        "compare.csv": "e69087a39a6bffcf844618d68aaa00c185e4d45bca197ba6866f90fdfe566a84",
+        "estimates.csv": "1772c4d5b41f3ebee7f196223b633f2db33f4e3b2d2fbe30d1fa5c0b08acbee6",
+        "report.json": "71e81eef3c54ca9f6b03711b98bb9f64cf4710ccae6dd1e51513aa06d15e50f6",
     },
     "laws-s3": {
         "laws.csv": "d1c2806693469f2cf4e2d91fe06802ce66a2181f4c79786e9bdbd0fad271592a",
@@ -67,11 +76,17 @@ GOLDEN = {
         "report.json": "2284db2ec2b2bb58d722b6175fd303836b02ecbd1bf2e69a1999d7d1319f2fe9",
     },
     "validate-lf": {
-        "estimates.csv": "a48b8814b5add436cb30565feb30ccebdb4ce6e33d290959c85635c6bc5447e1",
+        "estimates.csv": "1a78fc45a63f964d58deff23b6556bd97f3a3020cf80e86868a841be313237dc",
         "laws.csv": "a72cc3b01b53e20cf7a228ebebc33f83199d221fd2bdf02d9312d6f312889dc2",
-        "report.json": "6d12ef3fb16cc226b59bed4eb131819b444f0b492d5a5b8ef4ed4aacc0067bc7",
+        "report.json": "b7237569daa340cd0ff77d4a95b69ece65780a46e2e2e4f74c323f0a555353c6",
     },
 }
+
+
+def _run_job(label, out_dir) -> int:
+    task, build, settings = JOBS[label]
+    model = None if build is None else build()
+    return run(RunConfig(task=task, seed=SEED, out_dir=str(out_dir), model=model, **settings))
 
 
 def _digests(out_dir):
@@ -82,9 +97,30 @@ def _digests(out_dir):
 
 
 @pytest.mark.parametrize("label", sorted(JOBS))
-def test_output_bytes_are_pinned(label, request, tmp_path):
-    task, fixture, settings = JOBS[label]
-    model = None if fixture is None else request.getfixturevalue(fixture)
-    cfg = RunConfig(task=task, seed=20261018, out_dir=str(tmp_path), model=model, **settings)
-    assert run(cfg) == 0
+def test_output_bytes_are_pinned(label, tmp_path):
+    assert _run_job(label, tmp_path) == 0
     assert _digests(tmp_path) == GOLDEN[label]
+
+
+def print_golden() -> int:
+    """Run every job and print GOLDEN as the current code would pin it;
+    returns 1 if some job exited with a nonzero status."""
+    failed = []
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label in sorted(JOBS):
+            out = Path(tmp) / label
+            if _run_job(label, out) != 0:
+                failed.append(label)
+            print(f'    "{label}": {{')
+            for name, digest in _digests(out).items():
+                print(f'        "{name}": "{digest}",')
+            print("    },")
+    print("}")
+    if failed:
+        print(f"jobs that did not exit 0: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(print_golden())

@@ -9,15 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtcpp import dchain, forest
+from mtcpp import dchain, forest, harness
 from mtcpp.analytics import A1_tail
 from mtcpp.cli import build_config, main
 from mtcpp.errors import GuardError, SchemaError
 from mtcpp.harness import (
+    REPLICATES,
     EstimateRow,
     RunConfig,
     _chain_observations,
     _skip_none,
+    _stationary_pass,
     _stationary_tallies,
     estimates_to_csv,
     ks_compare,
@@ -235,6 +237,7 @@ def test_model_constructors_refuse_non_finite_values(e1, lf1):
 
 
 def test_config_refuses_non_numeric_two_type(tmp_path, capsys):
+    # RunConfig checks the values; the CLI reports its refusal with exit 1
     out = tmp_path / "out"
     for g in ("0.3", None, True):
         two_type = {"g": g, "p": 0.5, "h1": 0.3, "m": 1.0}
@@ -244,7 +247,7 @@ def test_config_refuses_non_numeric_two_type(tmp_path, capsys):
             main(["compare-two-type", "--config", str(path)])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert err.startswith("mtcpp: config 'two_type' values must be numbers")
+        assert err.startswith("mtcpp: two_type must be four finite real numbers")
         assert not out.exists()
     # NaN and Infinity are JSON numbers to Python's parser; refused here too
     for m in ("NaN", "Infinity"):
@@ -255,8 +258,45 @@ def test_config_refuses_non_numeric_two_type(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare-two-type", "--config", str(path)])
         assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("mtcpp: config 'two_type' values must be finite")
+        assert capsys.readouterr().err.startswith("mtcpp: two_type must be four finite real numbers")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "two_type",
+    [
+        ("a", 0.7, 0.5, 1.0),
+        (0.3, 0.7, 0.5),
+        (0.3, 0.7, 0.5, 1.0, 2.0),
+        (0.3, 0.7, 0.5, True),
+        (0.3, 0.7, 0.5, np.bool_(True)),
+        (0.3, float("nan"), 0.5, 1.0),
+        (0.3, 0.7, 0.5, float("inf")),
+        (0.3, 0.7, 0.5, 1 + 0j),
+        "0.3 0.7 0.5 1",
+        {"g": 0.3, "p": 0.7, "h1": 0.5, "m": 1.0},
+    ],
+    ids=[
+        "string-value", "three-values", "five-values", "bool", "numpy-bool",
+        "nan", "inf", "complex", "string", "dict",
+    ],
+)
+def test_run_config_refuses_a_bad_two_type_block(two_type, tmp_path):
+    # refused before any work: run() is never reached, no directory is made
+    out = tmp_path / "out"
+    with pytest.raises(SchemaError, match="two_type must be four finite real numbers"):
+        RunConfig(task="compare-two-type", seed=1, out_dir=str(out), two_type=two_type, n_max=3)
+    assert not out.exists()
+
+
+def test_run_config_takes_two_type_as_floats(tmp_path):
+    cfg = RunConfig(
+        task="compare-two-type", seed=1, out_dir=str(tmp_path), n_max=3,
+        two_type=[np.float64(0.3), 0.7, np.float32(0.5), 1],
+    )
+    assert cfg.two_type == (0.3, 0.7, 0.5, 1.0)
+    assert all(type(v) is float for v in cfg.two_type)
+    assert run(cfg) == 0
 
 
 def test_cli_refuses_removed_init_mode(tmp_path, capsys, e1):
@@ -297,11 +337,17 @@ def test_estimate_row_invariants():
 # -- Monte Carlo estimates ---------------------------------------------------
 
 
+def _rows_of(rows, statistic):
+    return [r for r in rows if r.statistic == statistic]
+
+
 def test_mc_estimate_depth_zero_row_is_exact(lf1):
-    rows = mc_estimate("a_stationary", lf1, 6, 200, seed=3, n_max=0)
-    assert rows[0].n == 0
-    assert rows[0].estimate == 1.0
-    assert rows[0].std_error == 0.0
+    rows = mc_estimate("stationary", lf1, 6, 200, seed=3, n_max=0)
+    assert [r.statistic for r in rows] == ["a_stationary", "b_stationary:1", "b_stationary:2"]
+    for r in rows:
+        assert r.n == 0
+        assert r.estimate == 1.0
+        assert r.std_error == 0.0
 
 
 def test_mc_estimate_first_pair_matches_conditioned_law(e1):
@@ -331,7 +377,8 @@ def test_mc_estimate_first_pair_scores_lf(lf1):
 
 
 def test_mc_estimate_stationary_tracks_lf_laws(lf1):
-    rows = mc_estimate("a_stationary", lf1, 10, 8000, seed=5, n_max=4)
+    rows = _rows_of(mc_estimate("stationary", lf1, 10, 8000, seed=5, n_max=4), "a_stationary")
+    assert [r.n for r in rows] == list(range(5))
     for r in rows:
         assert r.analytic_value == pytest.approx(lf_coalescence_law(lf1, r.n))
         if r.z_score is not None:
@@ -339,7 +386,8 @@ def test_mc_estimate_stationary_tracks_lf_laws(lf1):
 
 
 def test_mc_estimate_sametype_tracks_lf_laws(lf1):
-    rows = mc_estimate("b_stationary:2", lf1, 10, 8000, seed=6, n_max=4)
+    rows = _rows_of(mc_estimate("stationary", lf1, 10, 8000, seed=6, n_max=4), "b_stationary:2")
+    assert [r.n for r in rows] == list(range(5))
     for r in rows:
         assert r.analytic_value == pytest.approx(lf_sametype_law(lf1, 2, r.n))
         if r.z_score is not None:
@@ -349,8 +397,8 @@ def test_mc_estimate_sametype_tracks_lf_laws(lf1):
 def test_mc_estimate_censoring_is_reported():
     # subcritical single type: depth-8 tail far beyond a depth-4 horizon
     params = LFParams(k=1, H=np.array([[0.55]]), g=np.array([1.0]), m=0.7)
-    rows = mc_estimate("a_stationary", params, 4, 3000, seed=9, n_max=8)
-    by_n = {r.n: r for r in rows}
+    rows = mc_estimate("stationary", params, 4, 3000, seed=9, n_max=8)
+    by_n = {r.n: r for r in _rows_of(rows, "a_stationary")}
     assert all(by_n[n].censored == 0 for n in range(5))
     deep = by_n[8]
     assert deep.censored > 0
@@ -358,12 +406,29 @@ def test_mc_estimate_censoring_is_reported():
 
 
 def test_mc_estimate_bad_statistic(lf1):
-    with pytest.raises(SchemaError):
-        mc_estimate("median", lf1, 6, 100, seed=1)
-    with pytest.raises(SchemaError):
-        mc_estimate("b_stationary:9", lf1, 6, 100, seed=1)
-    with pytest.raises(SchemaError):
-        mc_estimate("b_stationary:x", lf1, 6, 100, seed=1)
+    # one pass gives every stationary row, so its row labels are not arguments
+    for statistic in ("median", "a_stationary", "b_stationary:2"):
+        with pytest.raises(SchemaError, match="choose 'a_first' or 'stationary'"):
+            mc_estimate(statistic, lf1, 6, 100, seed=1)
+
+
+def test_mc_estimate_stationary_is_one_pass(lf1, monkeypatch):
+    # the B tallies draw no random numbers: the A rows of the full pass are
+    # those of an A-only pass on the same seed
+    rows = mc_estimate("stationary", lf1, 8, 3000, seed=4, n_max=5)
+    a_rows, a_values = _stationary_pass(lf1, 8, 3000, 4, None, 1, 5, [])
+    assert _rows_of(rows, "a_stationary") == a_rows
+    assert len(a_values) > 2000
+    # a pass makes about `samples` chain transitions, not (k + 1) times that:
+    # a step per uncensored item, a start per replicate and per restart
+    calls = []
+    for name in ("dchain_step", "init_quasistationary"):
+        original = getattr(dchain, name)
+        monkeypatch.setattr(
+            dchain, name, lambda *a, f=original, **kw: calls.append(1) or f(*a, **kw)
+        )
+    mc_estimate("stationary", lf1, 8, 3000, seed=4, n_max=5)
+    assert 3000 <= len(calls) <= 3000 + REPLICATES
 
 
 def test_estimates_csv_header():
@@ -702,19 +767,25 @@ def test_dchain_task_stops_when_no_pair_can_coalesce(tmp_path, capsys):
 
 def test_dchain_task_stops_after_a_run_of_censored_pairs(tmp_path, monkeypatch, capsys):
     # a type-1 root has two standing descendants with probability about 1e-9,
-    # so the run passes the coalescence check and the chain guard stops it
+    # so the run passes the coalescence check, and every pair of its one chain
+    # pass is censored: it stops before any row is built or any tree drawn
     rare = ModelSpec.from_pmf(
         {1: {(0, 0): 0.5, (1, 0): 0.5 - 1e-9, (2, 0): 1e-9}, 2: {(0, 0): 1.0}}
     )
     assert 1.0 - A1_tail(rare, 1, 4) > 1e-12
-    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 40)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(harness, "_tail_rows", no_rows)
+    monkeypatch.setattr(forest, "simulate_standing", no_rows)
     cfg = RunConfig(
         task="dchain", seed=1, out_dir=str(tmp_path), model=rare,
         samples=50, horizon=4, n_max=3,
     )
     assert run(cfg) == 2
     err = capsys.readouterr().err
-    assert err.startswith("mtcpp: GuardError: 40 chain pairs were censored in a row")
+    assert err.startswith("mtcpp: GuardError: all 50 chain pairs were censored")
     _assert_error_report(tmp_path, err, "GuardError", 2)
 
 
