@@ -20,7 +20,7 @@ from .errors import (
     NumericConsistencyError,
     SchemaError,
 )
-from .model import ModelSpec, _orbit_start, complement_orbit, pgf_partial
+from .model import ModelSpec, _check_type, _orbit_start, complement_orbit, pgf_partial
 
 # Conditioning events below this mass are treated as impossible rather than
 # producing 0/0 noise.
@@ -65,8 +65,7 @@ class PopsizeLaw:
 
     def marginal(self, ell: int) -> np.ndarray:
         """Distribution of coordinate ell as a length-cap array."""
-        if ell < 1 or ell > self.k:
-            raise SchemaError(f"type index {ell} out of range 1..{self.k}")
+        _check_type(self, ell)
         out = np.zeros(self.cap)
         for z, p in self.probs.items():
             out[z[ell - 1]] += p
@@ -276,8 +275,7 @@ def joint_B1_law(spec: ModelSpec, a, ell: int) -> float:
     conditioned on the generation -n ancestor's type having such descendants.
     """
     a = _check_typestring(spec.k, a)
-    if ell < 1 or ell > spec.k:
-        raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
+    _check_type(spec, ell)
     if a[0] != ell:
         raise SchemaError(f"lineage must stand on a type-{ell} individual, got a[0]={a[0]}")
     return _joint_law(spec, a, ell)
@@ -293,8 +291,7 @@ def _tail(spec: ModelSpec, ell: int | None, top_type: int, n: int) -> float:
     """
     if n < 0:
         raise SchemaError(f"generation count must be >= 0, got {n}")
-    if top_type < 1 or top_type > spec.k:
-        raise SchemaError(f"type index {top_type} out of range 1..{spec.k}")
+    _check_type(spec, top_type)
     q = complement_orbit(spec, n, _orbit_start(spec.k, ell))
     singles = q[0]
     types = range(1, spec.k + 1)
@@ -315,8 +312,7 @@ def A1_tail(spec: ModelSpec, top_type: int, n: int) -> float:
 
 def B1_tail(spec: ModelSpec, ell: int, top_type: int, n: int) -> float:
     """P(exactly one standing type-ell descendant | at least one, root top_type)."""
-    if ell < 1 or ell > spec.k:
-        raise SchemaError(f"type index {ell} out of range 1..{spec.k}")
+    _check_type(spec, ell)
     return _tail(spec, ell, top_type, n)
 
 

@@ -40,7 +40,9 @@ __all__ = [
 #: Refuse to grow a single tree past this many nodes.
 DEFAULT_NODE_CAP = 10**7
 
-#: Refuse to retry a conditioned simulation past this many attempts.
+#: Refuse to retry a conditioned draw past this many failed attempts in a
+#: row: extinct trees since a forest's last survivor (not over the whole
+#: call), or chain offspring redraws that keep no child.
 DEFAULT_REJECTION_CAP = 10**6
 
 Model = Union[ModelSpec, LFParams]
@@ -208,11 +210,12 @@ def _offspring_sampler(model: Model, ordering: str | None):
     return sample_spec
 
 
-def _grow_tree(sample, root_type: int, types, parents, rng, node_cap: int) -> list[int]:
+def _grow_tree(sample, root_type: int, types, parents, rng) -> list[int]:
     """Append one simulated tree to the forest's layer lists, right of the
     trees already there; return the layer lengths before it.
 
     Parent entries are shifted past the nodes already in the layer above.
+    GuardError once the tree holds more than DEFAULT_NODE_CAP nodes.
     """
     start = [len(t) for t in types]
     types[0].append(root_type)
@@ -225,9 +228,9 @@ def _grow_tree(sample, root_type: int, types, parents, rng, node_cap: int) -> li
             layer_types.extend(off)
             layer_parents.extend([idx + 1] * len(off))
         total += len(layer_types) - start[j]
-        if total > node_cap:
+        if total > DEFAULT_NODE_CAP:
             raise GuardError(
-                f"tree exceeded the node cap ({node_cap}); model likely supercritical"
+                f"tree exceeded the node cap ({DEFAULT_NODE_CAP}); model likely supercritical"
             )
     return start
 
@@ -242,7 +245,6 @@ def simulate_forward(
     root_type: int,
     depth: int,
     rng,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> PlanarTree:
     """Simulate one planar tree from a single root, depth generations deep.
 
@@ -256,7 +258,7 @@ def simulate_forward(
     _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
     types, parents = [[] for _ in range(depth + 1)], [[] for _ in range(depth + 1)]
-    _grow_tree(sample, root_type, types, parents, rng, node_cap)
+    _grow_tree(sample, root_type, types, parents, rng)
     return PlanarTree(-depth, _layers(types), _layers(parents))
 
 
@@ -267,8 +269,6 @@ def simulate_standing(
     rng,
     ordering: str | None = None,
     root_type: int = 1,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> PlanarTree:
     """Simulate trees conditioned on a nonempty standing population.
 
@@ -277,8 +277,10 @@ def simulate_standing(
     planar forest as it is drawn, right of the survivors before it, so the
     result has one root per survivor (a lone survivor is a one-root
     forest) and is checked once, as a whole.  The rejections field counts
-    the discarded extinct attempts.  ordering None takes the model's
-    default planar order, as the chain does.
+    every discarded extinct attempt of the call.  GuardError after
+    DEFAULT_REJECTION_CAP extinct attempts in a row, so a wide forest of a
+    subcritical model may discard many more than that in total.  ordering
+    None takes the model's default planar order, as the chain does.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
@@ -287,18 +289,21 @@ def simulate_standing(
     _check_type(model, root_type)
     sample = _offspring_sampler(model, ordering)
     types, parents = [[] for _ in range(T + 1)], [[] for _ in range(T + 1)]
-    rejections = 0
+    rejections = misses = 0
     while len(types[T]) < target_width:
-        if rejections >= rejection_cap:
+        if misses >= DEFAULT_REJECTION_CAP:
             raise GuardError(
-                f"no surviving tree within {rejection_cap} attempts at horizon {T}"
+                f"no surviving tree within {misses} attempts at horizon {T}"
             )
-        start = _grow_tree(sample, root_type, types, parents, rng, node_cap)
+        start = _grow_tree(sample, root_type, types, parents, rng)
         if len(types[T]) == start[T]:
             # extinct: take the attempt out of the forest again
             for layer, n in zip(types + parents, start + start):
                 del layer[n:]
             rejections += 1
+            misses += 1
+        else:
+            misses = 0
     return PlanarTree(-T, _layers(types), _layers(parents), rejections)
 
 

@@ -653,22 +653,6 @@ def _task_compare_two_type(cfg: RunConfig, out: dict) -> list[dict]:
     return checks
 
 
-def _skip_none(items, what: str):
-    """The items that are not None; GuardError after forest.DEFAULT_REJECTION_CAP
-    Nones in a row, all that a root type with no two standing descendants
-    at the horizon would ever yield."""
-    misses = 0
-    for item in items:
-        if item is not None:
-            misses = 0
-            yield item
-        elif (misses := misses + 1) >= forest.DEFAULT_REJECTION_CAP:
-            raise GuardError(
-                f"{misses} {what} in a row; the root type may not reach two "
-                "standing descendants at this horizon"
-            )
-
-
 def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
     # the KS chain sample is the A values of the estimates' own pass
     rows, chain_vals = _stationary_pass(
@@ -677,21 +661,23 @@ def _task_dchain(cfg: RunConfig, out: dict) -> list[dict]:
     )
     out["estimates.csv"] = estimates_to_csv(rows)
 
-    forest_vals: list[int] = []
-    rng = stream(cfg.seed, "dchain", "forest-sample")
-    trees = (
-        forest.simulate_standing(
-            cfg.model, cfg.horizon, 1, rng, ordering=cfg.ordering, root_type=cfg.root_type
-        )
-        for _ in itertools.count()
+    # the KS forest sample is the uncensored pairs of `samples` standing
+    # individuals, as the chain's is; a pair across two trees reads A = 0
+    tree = forest.simulate_standing(
+        cfg.model,
+        cfg.horizon,
+        cfg.samples,
+        stream(cfg.seed, "dchain", "forest-sample"),
+        ordering=cfg.ordering,
+        root_type=cfg.root_type,
     )
-    wide = (tree if tree.width >= 2 else None for tree in trees)
-    for tree in _skip_none(wide, "surviving trees had width 1"):
-        a = forest.coalescence_times(tree).a
-        forest_vals.extend(a[a > 0].tolist())
-        if len(forest_vals) >= cfg.samples:
-            break
-    forest_vals = forest_vals[: cfg.samples]
+    a = forest.coalescence_times(tree).a
+    forest_vals = a[a > 0]
+    if not forest_vals.size:
+        raise GuardError(
+            f"no standing pair of the width-{tree.width} forest shares a tree; the "
+            f"root type may rarely reach two standing descendants at horizon {cfg.horizon}"
+        )
 
     result = ks_compare(chain_vals, forest_vals)
     out["compare.csv"] = ks_to_csv({"chain_vs_forest_A": result})

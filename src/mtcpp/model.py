@@ -79,9 +79,6 @@ class ModelSpec:
     counts: tuple[np.ndarray, ...]
     probs: tuple[np.ndarray, ...]
     names: tuple[str, ...]
-    #: Escape hatch for matrix-only tests; singular laws (every parent always
-    #: has exactly one child) break the coalescent machinery downstream.
-    allow_singular: bool = False
 
     #: Model kind, as laws.csv and report.json name it.
     label = "spec"
@@ -120,7 +117,8 @@ class ModelSpec:
             totals = z.sum(axis=1)
             if np.any((totals != 1) & (p > 0)):
                 singular = False
-        if singular and not self.allow_singular:
+        if singular:
+            # no pair ever coalesces, which breaks the coalescent machinery
             raise SchemaError("singular model: every parent type always has exactly one child")
         # sampling tables, built once: a draw picks a support row by its
         # cumulative probability and shuffles a copy of the row's type list
@@ -187,7 +185,6 @@ class ModelSpec:
         pmf: dict[int, dict[tuple[int, ...], float]],
         k: int | None = None,
         names: tuple[str, ...] | None = None,
-        allow_singular: bool = False,
     ) -> "ModelSpec":
         """Build a spec from {parent type: {count-vector: probability}}."""
         if k is None:
@@ -201,13 +198,7 @@ class ModelSpec:
             probs.append(np.array([r[1] for r in rows], dtype=np.float64))
         if names is None:
             names = tuple(str(ell) for ell in range(1, k + 1))
-        return cls(
-            k=k,
-            counts=tuple(counts),
-            probs=tuple(probs),
-            names=tuple(names),
-            allow_singular=allow_singular,
-        )
+        return cls(k=k, counts=tuple(counts), probs=tuple(probs), names=tuple(names))
 
     def pmf_dict(self, ell: int) -> dict[tuple[int, ...], float]:
         """Offspring pmf of parent type ell as a plain dict."""

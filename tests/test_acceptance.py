@@ -455,12 +455,20 @@ def _chain_first_pair_sample(model, horizon: int, samples: int, rng) -> list[int
 
 
 def _forest_first_pair_sample(model, horizon: int, samples: int, rng) -> list[int]:
+    """A of the first pair of each surviving tree that reaches width 2.
+
+    Each forest is asked for as many standing individuals as first pairs are
+    still needed, so it holds at most that many trees: it never overshoots,
+    and when it fills the sample its last tree gives the last pair.  The
+    trees, their order and so the sample are those of one-tree draws in a row.
+    """
     out = []
     while len(out) < samples:
-        tree = simulate_standing(model, horizon, 1, rng)
-        if tree.width < 2:
-            continue
-        out.append(coalescence_times(tree)[0].a)
+        a = coalescence_times(simulate_standing(model, horizon, samples - len(out), rng)).a
+        # a pair across two trees reads A = 0, so a tree's first pair is an
+        # A > 0 with a 0 or nothing to its left
+        first = (a > 0) & np.concatenate(([True], a[:-1] == 0))
+        out.extend(a[first].tolist())
     return out
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mtcpp import forest
 from mtcpp.errors import GuardError, SchemaError
 from mtcpp.forest import (
     CoalescentRecord,
@@ -313,13 +314,11 @@ def test_emission_matches_reference_on_seeded_forests(model, ordering, T, seed, 
 
 
 def test_immediate_death_single_root():
-    spec = ModelSpec.from_pmf({1: {(0,): 1.0}}, allow_singular=True)
     # every individual dies childless; only the root remains
     dead = ModelSpec.from_pmf({1: {(0, 0): 1.0}, 2: {(0, 0): 1.0}})
     tree = simulate_forward(dead, "uniform", 1, 4, stream(0, "dead"))
     assert [len(t) for t in tree.types] == [1, 0, 0, 0, 0]
     assert tree.width == 0
-    del spec
 
 
 def test_simulate_rejects_bad_args(e1, lf1):
@@ -334,9 +333,10 @@ def test_simulate_rejects_bad_args(e1, lf1):
         simulate_forward(lf1, "sorted", 1, 2, rng)
 
 
-def test_node_cap_guard(lf1):
+def test_node_cap_guard(lf1, monkeypatch):
+    monkeypatch.setattr(forest, "DEFAULT_NODE_CAP", 500)
     with pytest.raises(GuardError, match="node cap"):
-        simulate_forward(lf1, "lf_first", 1, 30, stream(5, "cap"), node_cap=500)
+        simulate_forward(lf1, "lf_first", 1, 30, stream(5, "cap"))
 
 
 def test_e1_depth1_offspring_split(e1):
@@ -418,7 +418,6 @@ def test_spec_sampler_matches_reference(name, seed, e1):
                 1: {(0, 0): 0.4, (3, 2): 0.3, (1, 1): 0.3},
                 2: {(0, 0): 0.6, (0, 4): 0.4},
             },
-            allow_singular=True,
         ),
     }[name]
     sample = _offspring_sampler(model, "uniform")
@@ -515,9 +514,22 @@ def test_standing_default_ordering_is_the_model_default(lf1, e1):
         assert tree.rejections == ref.rejections
 
 
-def test_standing_rejection_cap(e1):
+def test_standing_rejection_cap(e1, monkeypatch):
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 3)
     with pytest.raises(GuardError, match="attempts"):
-        simulate_standing(e1, 25, 1, stream(31, "cap"), rejection_cap=3)
+        simulate_standing(e1, 25, 1, stream(31, "cap"))
+
+
+def test_standing_rejection_cap_counts_misses_in_a_row(e1, monkeypatch):
+    # this E1 forest discards 12 398 extinct attempts for 643 survivors, and
+    # 123 of them in its longest run: the cap bounds the run, not the total
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 1000)
+    tree = simulate_standing(e1, 10, 2000, stream(41, "in-a-row"))
+    assert tree.width >= 2000
+    assert tree.rejections > 1000
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 100)
+    with pytest.raises(GuardError, match="no surviving tree within 100 attempts"):
+        simulate_standing(e1, 10, 2000, stream(41, "in-a-row"))
 
 
 # -- extraction -------------------------------------------------------------

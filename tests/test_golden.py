@@ -42,14 +42,14 @@ GOLDEN = {
         "report.json": "dc09c42b9afbe180b5695d7c8ff12b89725243ca5887dce983d4c4269eb8e7a0",
     },
     "dchain-e1": {
-        "compare.csv": "658de7b38997f833dad6e422517d1325c297faa2c6254b008276ead3a56fb676",
+        "compare.csv": "2205acb70466e4f5cd8c3f40aad1a83ad57db87bc035981d82a57391539332b9",
         "estimates.csv": "f893c17ed3f06415e79b889c621c58e5488608ae3e8b18252ce20cc43fccafae",
-        "report.json": "eef358cffd1fed5c26d89719065d874cbc914339b430446790a6e632360fb8b4",
+        "report.json": "9c0020d59e3059422e0e75669b264826292dea5f3366197665175955c394936c",
     },
     "dchain-lf-uniform": {
-        "compare.csv": "e69087a39a6bffcf844618d68aaa00c185e4d45bca197ba6866f90fdfe566a84",
+        "compare.csv": "60dd543d0fb70f292668e35f979ac1d2215bf300133bf63cf5789de769cdd04d",
         "estimates.csv": "1772c4d5b41f3ebee7f196223b633f2db33f4e3b2d2fbe30d1fa5c0b08acbee6",
-        "report.json": "71e81eef3c54ca9f6b03711b98bb9f64cf4710ccae6dd1e51513aa06d15e50f6",
+        "report.json": "1b7dc899e1f202909560feaef70b9a5e3506e043f0135ba2258f4edee2fdda93",
     },
     "laws-s3": {
         "laws.csv": "d1c2806693469f2cf4e2d91fe06802ce66a2181f4c79786e9bdbd0fad271592a",

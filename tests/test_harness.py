@@ -12,13 +12,12 @@ import pytest
 from mtcpp import dchain, forest, harness
 from mtcpp.analytics import A1_tail
 from mtcpp.cli import build_config, main
-from mtcpp.errors import GuardError, SchemaError
+from mtcpp.errors import SchemaError
 from mtcpp.harness import (
     REPLICATES,
     EstimateRow,
     RunConfig,
     _chain_observations,
-    _skip_none,
     _stationary_pass,
     _stationary_tallies,
     estimates_to_csv,
@@ -704,13 +703,7 @@ def _explosive():
 def test_run_maps_guard_breach_to_exit_2(tmp_path, monkeypatch, capsys):
     # the forest node cap trips on the explosive model; a small cap keeps
     # the tree that trips it small
-    from functools import partial
-
-    import mtcpp.forest as forest
-
-    monkeypatch.setattr(
-        forest, "simulate_standing", partial(forest.simulate_standing, node_cap=2000)
-    )
+    monkeypatch.setattr(forest, "DEFAULT_NODE_CAP", 2000)
     cfg = RunConfig(
         task="simulate", seed=3, out_dir=str(tmp_path), model=_explosive(), horizon=8
     )
@@ -733,11 +726,18 @@ def test_laws_task_exact_on_explosive_model(tmp_path):
     assert [float(r.split(",")[-1]) for r in rows if r.startswith("a_tail")] == [1.0] + [0.0] * 5
 
 
-def test_skip_none_stops_at_the_rejection_cap(monkeypatch):
-    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 3)
-    assert list(_skip_none(iter([None, 1, None, None, 2]), "misses")) == [1, 2]
-    with pytest.raises(GuardError, match="3 misses in a row"):
-        list(_skip_none(iter([1, None, None, None, 2]), "misses"))
+def test_dchain_task_stops_when_no_forest_pair_shares_a_tree(e1, tmp_path, capsys):
+    # at this seed the chain pass keeps an uncensored pair, but the forest of
+    # two standing individuals is two one-survivor trees: its KS sample would
+    # be empty
+    cfg = RunConfig(
+        task="dchain", seed=15, out_dir=str(tmp_path), model=e1,
+        samples=2, horizon=4, n_max=3,
+    )
+    assert run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mtcpp: GuardError: no standing pair of the width-2 forest")
+    _assert_error_report(tmp_path, err, "GuardError", 2)
 
 
 def test_dchain_task_stops_when_no_pair_can_coalesce(tmp_path, capsys):

@@ -86,11 +86,7 @@ def test_mean_matrix_frozen(e1):
     np.testing.assert_allclose(mean_matrix(e1), [[0.5, 0.5], [0.5, 0.0]], atol=1e-15)
 
 
-def test_mean_matrix_singular_escape_hatch():
-    spec = ModelSpec.from_pmf(
-        {1: {(1, 0): 1.0}, 2: {(0, 1): 1.0}}, allow_singular=True
-    )
-    np.testing.assert_allclose(mean_matrix(spec), np.eye(2), atol=0)
+def test_singular_model_refused():
     with pytest.raises(SchemaError):
         ModelSpec.from_pmf({1: {(1, 0): 1.0}, 2: {(0, 1): 1.0}})
 
