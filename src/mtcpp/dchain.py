@@ -28,7 +28,7 @@ from .errors import (
     InconsistentStateError,
     SchemaError,
 )
-from .forest import DEFAULT_REJECTION_CAP, PlanarTree, _offspring_sampler
+from .forest import PlanarTree, _offspring_sampler
 from .model import _is_json_int, pgf_eval_all
 from . import forest as _forest
 
@@ -144,16 +144,17 @@ def _survival_rows(model, n: int) -> list[list[float]]:
 def _kept_offspring(sampler, p_prev, ell: int, rng) -> list[int]:
     """Offspring of a type-ell parent thinned by p_prev, conditioned nonzero.
 
-    Redraws until one child is kept, at most DEFAULT_REJECTION_CAP times.
+    Redraws until one child is kept, at most forest.DEFAULT_REJECTION_CAP
+    times (read at call time, so the forest and the chain share one cap).
     """
     random = rng.random
-    for _ in range(DEFAULT_REJECTION_CAP):
+    cap = _forest.DEFAULT_REJECTION_CAP
+    for _ in range(cap):
         kept = [t for t in sampler(ell, rng) if random() < p_prev[t - 1]]
         if kept:
             return kept
     raise GuardError(
-        f"no surviving offspring of type {ell} within {DEFAULT_REJECTION_CAP} "
-        "conditioning attempts"
+        f"no surviving offspring of type {ell} within {cap} conditioning attempts"
     )
 
 

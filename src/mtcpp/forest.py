@@ -210,33 +210,126 @@ def _offspring_sampler(model: Model, ordering: str | None):
     return sample_spec
 
 
-def _grow_tree(sample, root_type: int, types, parents, rng) -> list[int]:
-    """Append one simulated tree to the forest's layer lists, right of the
-    trees already there; return the layer lengths before it.
+def _layer_sampler(model: Model, ordering: str | None):
+    """Return a callable (parent types, gen) -> (child types, child counts).
 
-    Parent entries are shifted past the nodes already in the layer above.
-    GuardError once the tree holds more than DEFAULT_NODE_CAP nodes.
+    One call draws the ordered offspring of every parent of a nonempty
+    layer with the numpy Generator gen: the children come parent by
+    parent, left to right, and counts[i] is the number of children of
+    parent i.  The law and the sampling tables are those of
+    _offspring_sampler; the uniforms are drawn in another order, so the
+    two give different draws.
     """
-    start = [len(t) for t in types]
-    types[0].append(root_type)
-    parents[0].append(0)
-    total = 1
-    for j in range(1, len(types)):
-        above, layer_types, layer_parents = types[j - 1], types[j], parents[j]
-        for idx in range(start[j - 1], len(above)):
-            off = sample(above[idx], rng)
-            layer_types.extend(off)
-            layer_parents.extend([idx + 1] * len(off))
-        total += len(layer_types) - start[j]
-        if total > DEFAULT_NODE_CAP:
+    ordering = planar_ordering(model, ordering)
+    k = model.k
+    if isinstance(model, LFParams):
+        h0 = model._h0
+        rowcum = np.asarray(model._rowcum)
+        gcum = np.asarray(model._gcum)
+        p_stop = 1.0 / (1.0 + model.m)
+
+        def draw_lf(parents, gen):
+            # as lf_sample_offspring: one uniform decides h0 and then the
+            # H-typed first child, the geometric bulk follows it
+            row = parents - 1
+            u = gen.random(parents.size) - h0[row]
+            has = (u >= 0).nonzero()[0]
+            below = rowcum[row[has]] <= u[has, None]
+            first = np.minimum(below.sum(axis=1) + 1, k)
+            counts = np.zeros(parents.size, dtype=np.int64)
+            counts[has] = gen.geometric(p_stop, size=has.size)
+            ends = counts.cumsum()
+            bulk = gen.random(ends[-1])
+            types = np.minimum(gcum.searchsorted(bulk, side="right") + 1, k)
+            types[ends[has] - counts[has]] = first
+            return types, counts
+
+        draw = draw_lf
+    else:
+        # every support row's type-sorted list, laid end to end; a uniform
+        # past the last cumulative probability (rounding) takes the last row
+        cum = [np.append(rows[:-1], np.inf) for rows in model._cum]
+        row_base = np.cumsum([0] + [len(rows) for rows in cum])
+        lists = [row for rows in model._expanded for row in rows]
+        row_len = np.array([len(row) for row in lists], dtype=np.int64)
+        row_start = np.cumsum(row_len) - row_len
+        flat = np.array([t for row in lists for t in row], dtype=np.int64)
+
+        def draw_spec(parents, gen):
+            u = gen.random(parents.size)
+            rows = np.empty(parents.size, dtype=np.int64)
+            for ell in range(1, k + 1):
+                at = (parents == ell).nonzero()[0]
+                rows[at] = cum[ell - 1].searchsorted(u[at]) + row_base[ell - 1]
+            counts = row_len[rows]
+            ends = counts.cumsum()
+            pos = np.arange(ends[-1]) + (row_start[rows] - ends + counts).repeat(counts)
+            return flat[pos], counts
+
+        draw = draw_spec
+    if ordering != "uniform":
+        return draw
+
+    def draw_shuffled(parents, gen):
+        # a uniform permutation of each sibling block: sort by random keys
+        types, counts = draw(parents, gen)
+        owner = np.arange(parents.size).repeat(counts)
+        return types[np.lexsort((gen.random(types.size), owner))], counts
+
+    return draw_shuffled
+
+
+def _grow_block(draw, root_type: int, roots: int, T: int, gen):
+    """Draw `roots` i.i.d. depth-T trees side by side as one planar forest.
+
+    Returns the type and parent layers and the root (0..roots-1) of every
+    standing individual.  The root of each node is carried down one layer
+    at a time and not kept.  GuardError once one tree holds more than
+    DEFAULT_NODE_CAP nodes.
+    """
+    types = [np.full(roots, root_type, dtype=np.int64)]
+    parents = [np.zeros(roots, dtype=np.int64)]
+    root_of = np.arange(roots, dtype=np.int32)
+    nodes = np.ones(roots, dtype=np.int64)
+    for _ in range(T):
+        if not root_of.size:
+            # the block died out: the layers below are empty too
+            types.append(root_of.astype(np.int64))
+            parents.append(types[-1])
+            continue
+        child_types, counts = draw(types[-1], gen)
+        root_of = root_of.repeat(counts)
+        types.append(child_types)
+        parents.append(np.arange(1, counts.size + 1).repeat(counts))
+        nodes += np.bincount(root_of, minlength=roots)
+        if nodes.max() > DEFAULT_NODE_CAP:
             raise GuardError(
                 f"tree exceeded the node cap ({DEFAULT_NODE_CAP}); model likely supercritical"
             )
-    return start
+    return types, parents, root_of
 
 
-def _layers(lists) -> tuple[np.ndarray, ...]:
-    return tuple(np.asarray(t, dtype=np.int64) for t in lists)
+def _settle_block(standing: np.ndarray, short: int, misses: int, T: int):
+    """Roots of a block to keep, given each root's standing width.
+
+    short is the width still missing before the block, misses the extinct
+    roots in a row before it.  Keeps the roots up to and including the
+    first one that makes up the width (all of them if none does) and
+    returns (that count, the extinct roots among them, the extinct roots
+    in a row after the last survivor).  GuardError once DEFAULT_REJECTION_CAP
+    extinct roots come in a row, counted across blocks.
+    """
+    reach = (standing.cumsum() >= short).nonzero()[0]
+    stop = int(reach[0]) + 1 if reach.size else standing.size
+    alive = standing[:stop].nonzero()[0]
+    # extinct runs before each survivor and after the last one
+    runs = np.concatenate((alive, [stop])) - np.concatenate(([-1], alive)) - 1
+    runs[0] += misses
+    if runs.max() >= DEFAULT_REJECTION_CAP:
+        raise GuardError(
+            f"no surviving tree within {DEFAULT_REJECTION_CAP} attempts at horizon {T}"
+        )
+    return stop, stop - alive.size, int(runs[-1])
 
 
 def simulate_forward(
@@ -251,15 +344,21 @@ def simulate_forward(
     Offspring of every node are drawn from the model; their left-to-right
     order is a uniform random permutation of the sampled multiset, or the
     as-sampled order for ordering='lf_first' (first offspring from the H
-    row, geometric bulk after it).
+    row, geometric bulk after it).  A numpy Generator seeded from rng
+    draws the tree one layer at a time.
     """
     if depth < 1:
         raise SchemaError(f"depth must be >= 1, got {depth}")
     _check_type(model, root_type)
-    sample = _offspring_sampler(model, ordering)
-    types, parents = [[] for _ in range(depth + 1)], [[] for _ in range(depth + 1)]
-    _grow_tree(sample, root_type, types, parents, rng)
-    return PlanarTree(-depth, _layers(types), _layers(parents))
+    draw = _layer_sampler(model, ordering)
+    gen = np.random.default_rng(rng.getrandbits(128))
+    types, parents, _ = _grow_block(draw, root_type, 1, depth, gen)
+    return PlanarTree(-depth, tuple(types), tuple(parents))
+
+
+#: Most roots drawn as one block; bounds a block's memory when survivors
+#: are rare and every standing individual costs many extinct trees.
+MAX_BLOCK_ROOTS = 1 << 16
 
 
 def simulate_standing(
@@ -273,38 +372,68 @@ def simulate_standing(
     """Simulate trees conditioned on a nonempty standing population.
 
     Independent depth-T trees are drawn until at least target_width
-    standing individuals survive.  Each surviving tree is laid into one
-    planar forest as it is drawn, right of the survivors before it, so the
-    result has one root per survivor (a lone survivor is a one-root
-    forest) and is checked once, as a whole.  The rejections field counts
-    every discarded extinct attempt of the call.  GuardError after
-    DEFAULT_REJECTION_CAP extinct attempts in a row, so a wide forest of a
-    subcritical model may discard many more than that in total.  ordering
-    None takes the model's default planar order, as the chain does.
+    standing individuals survive.  The trees are drawn in blocks of roots,
+    one layer of a whole block at a time, by a numpy Generator seeded from
+    rng.  The surviving trees are laid into one planar forest in the order
+    they were drawn, up to and including the first that makes up the
+    width, so the result has one root per survivor (a lone survivor is a
+    one-root forest) and is checked once, as a whole.  The rejections
+    field counts every extinct tree drawn before that last survivor.
+    GuardError after DEFAULT_REJECTION_CAP extinct trees in a row, so a
+    wide forest of a subcritical model may discard many more than that in
+    total.  ordering None takes the model's default planar order, as the
+    chain does.
+
+    A block starts at one root and at most doubles from one block to the
+    next; once a survivor has been seen it is also capped at the roots
+    that the standing width observed per root so far needs to make up
+    the missing width, and always at MAX_BLOCK_ROOTS.
     """
     if T < 1:
         raise SchemaError(f"horizon must be >= 1, got {T}")
     if target_width < 1:
         raise SchemaError(f"target width must be >= 1, got {target_width}")
     _check_type(model, root_type)
-    sample = _offspring_sampler(model, ordering)
-    types, parents = [[] for _ in range(T + 1)], [[] for _ in range(T + 1)]
-    rejections = misses = 0
-    while len(types[T]) < target_width:
-        if misses >= DEFAULT_REJECTION_CAP:
-            raise GuardError(
-                f"no surviving tree within {misses} attempts at horizon {T}"
-            )
-        start = _grow_tree(sample, root_type, types, parents, rng)
-        if len(types[T]) == start[T]:
-            # extinct: take the attempt out of the forest again
-            for layer, n in zip(types + parents, start + start):
-                del layer[n:]
-            rejections += 1
-            misses += 1
-        else:
-            misses = 0
-    return PlanarTree(-T, _layers(types), _layers(parents), rejections)
+    draw = _layer_sampler(model, ordering)
+    gen = np.random.default_rng(rng.getrandbits(128))
+    kept_types, kept_parents = [[] for _ in range(T + 1)], [[] for _ in range(T + 1)]
+    kept_width = [0] * (T + 1)
+    rejections = misses = drawn_roots = drawn_width = 0
+    roots = 1
+    while kept_width[T] < target_width:
+        types, parents, root_of = _grow_block(draw, root_type, roots, T, gen)
+        standing = np.bincount(root_of, minlength=roots)
+        short = target_width - kept_width[T]
+        stop, extinct, misses = _settle_block(standing, short, misses, T)
+        rejections += extinct
+        if extinct < stop:
+            # keep the survivors among the first `stop` roots, and their
+            # descendants layer by layer, with parents renumbered past the
+            # nodes kept above
+            keep = np.zeros(roots, dtype=bool)
+            keep[:stop] = standing[:stop] > 0
+            kept_types[0].append(types[0][keep])
+            kept_parents[0].append(parents[0][keep])
+            for j in range(1, T + 1):
+                rank = keep.cumsum() + kept_width[j - 1]
+                keep = keep[parents[j] - 1]
+                kept_types[j].append(types[j][keep])
+                kept_parents[j].append(rank[parents[j][keep] - 1])
+            for j in range(T + 1):
+                kept_width[j] += kept_types[j][-1].size
+        drawn_roots += roots
+        drawn_width += int(standing.sum())
+        roots *= 2
+        if drawn_width:
+            short = target_width - kept_width[T]
+            roots = min(roots, -(-short * drawn_roots // drawn_width))
+        roots = max(1, min(roots, MAX_BLOCK_ROOTS))
+    return PlanarTree(
+        -T,
+        tuple(np.concatenate(layer) for layer in kept_types),
+        tuple(np.concatenate(layer) for layer in kept_parents),
+        rejections,
+    )
 
 
 def ancestor_index(tree: PlanarTree, i: int, n: int) -> int:
@@ -373,8 +502,10 @@ def coalescence_times(tree: PlanarTree) -> CoalescentRecords:
     T = tree.horizon
     a = np.zeros(w - 1, dtype=np.int64)
     mrca = np.zeros(w - 1, dtype=np.int64)
-    # ancestry types of each right pair member, generations 0..-(T-1)
-    lineage = np.empty((T, w - 1), dtype=np.int64)
+    # ancestry types of each right pair member, generations 0..-(T-1), in
+    # the narrowest signed dtype that holds the largest type on them
+    top = max(int(layer.max()) for layer in tree.types[1:])
+    lineage = np.empty((T, w - 1), dtype=np.min_scalar_type(-top))
     for n, level in enumerate(_ancestor_walk(tree)):
         if n < T:
             lineage[n] = tree.types[T - n][level[1:] - 1]

@@ -459,8 +459,7 @@ def _forest_first_pair_sample(model, horizon: int, samples: int, rng) -> list[in
 
     Each forest is asked for as many standing individuals as first pairs are
     still needed, so it holds at most that many trees: it never overshoots,
-    and when it fills the sample its last tree gives the last pair.  The
-    trees, their order and so the sample are those of one-tree draws in a row.
+    and when it fills the sample its last tree gives the last pair.
     """
     out = []
     while len(out) < samples:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mtcpp import dchain
+from mtcpp import dchain, forest
 from mtcpp.analytics import joint_A1_law
 from mtcpp.dchain import (
     DState,
@@ -142,7 +142,7 @@ def test_conditioned_offspring_stops_at_the_rejection_cap(e1, monkeypatch):
     # survival rows that let the type-1 ancestor survive but keep none of
     # its children: every redraw comes back empty until the cap stops it
     monkeypatch.setitem(dchain._SURVIVAL_ROWS, e1, [[0.0, 0.0], [1.0, 1.0]])
-    monkeypatch.setattr(dchain, "DEFAULT_REJECTION_CAP", 7)
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 7)
     calls = []
 
     def counting_sampler(model, ordering):

@@ -1,5 +1,8 @@
 import bisect
 import tracemalloc
+from collections import Counter
+from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from mtcpp.forest import (
 from mtcpp.lf import LFParams, lf_coalescence_law, two_type_models
 from mtcpp.model import ModelSpec, mean_matrix, survival_vector
 from mtcpp.rng import stream
+from conftest import e1_model, lf1_model, s3_model
 from oracles import lf_to_modelspec
 
 
@@ -435,6 +439,77 @@ def test_spec_sampler_matches_reference(name, seed, e1):
     assert sample(1, rng) == reference(1, rng_ref)
 
 
+def ordered_list_pmf(model, ordering: str, ell: int, children: tuple[int, ...]) -> float:
+    """Exact probability that a type-ell parent has this ordered offspring list."""
+    n = len(children)
+    c = Counter(children)
+    if isinstance(model, LFParams):
+        if n == 0:
+            return float(model.h0[ell - 1])
+        q = model.m / (1.0 + model.m)
+        geometric = (1.0 - q) * q ** (n - 1)
+        H, g = model.H[ell - 1], model.g
+        if ordering == "lf_first":
+            return H[children[0] - 1] * geometric * prod(g[t - 1] for t in children[1:])
+        # uniform order: each position is the H-typed child with chance c_t / n
+        return geometric * sum(
+            ct / n * H[t - 1] * prod(g[s - 1] ** (cs - (s == t)) for s, cs in c.items())
+            for t, ct in c.items()
+        )
+    z = tuple(c.get(t, 0) for t in range(1, model.k + 1))
+    p = model.pmf_dict(ell).get(z, 0.0)
+    return p * prod(factorial(x) for x in z) / factorial(n)
+
+
+def _candidate_lists(model, ell: int) -> set[tuple[int, ...]]:
+    # every ordered list of positive probability for finite support; for LF
+    # every list of up to three children
+    if isinstance(model, LFParams):
+        out = {()}
+        for n in range(1, 4):
+            out |= set(np.ndindex(*(model.k,) * n))
+        return {tuple(t + 1 for t in lst) for lst in out}
+    return {
+        perm
+        for z in model.pmf_dict(ell)
+        for perm in permutations([t for t in range(1, model.k + 1) for _ in range(z[t - 1])])
+    }
+
+
+@pytest.mark.parametrize(
+    "name,ordering",
+    [("lf1", "lf_first"), ("lf1", "uniform"), ("e1", "uniform"), ("s3", "uniform")],
+)
+def test_layer_sampler_matches_ordered_list_pmf(name, ordering):
+    model = {"e1": e1_model, "s3": s3_model, "lf1": lf1_model}[name]()
+    draw = forest._layer_sampler(model, ordering)
+    gen = np.random.default_rng(20261021)
+    n = 60_000
+    parents = np.arange(n) % model.k + 1
+    types, counts = draw(parents, gen)
+    assert counts.sum() == types.size
+    lists = np.split(types, np.cumsum(counts)[:-1])
+    seen = Counter(zip(parents.tolist(), map(tuple, (x.tolist() for x in lists))))
+    per_type = n // model.k
+    worst, cells = 0.0, 0
+    for ell in range(1, model.k + 1):
+        keys = _candidate_lists(model, ell) | {lst for t, lst in seen if t == ell}
+        for lst in keys:
+            p = ordered_list_pmf(model, ordering, ell, lst)
+            obs = seen.get((ell, lst), 0)
+            assert p > 0 or obs == 0, (ell, lst)
+            if p * per_type < 5:
+                continue
+            z = (obs - per_type * p) / np.sqrt(per_type * p * (1 - p))
+            worst = max(worst, abs(z))
+            cells += 1
+    assert cells >= 5
+    assert worst <= 4, worst
+    # the same generator state gives the same layer
+    again = draw(parents, np.random.default_rng(20261021))
+    assert np.array_equal(again[0], types) and np.array_equal(again[1], counts)
+
+
 # -- simulate_standing ------------------------------------------------------
 
 
@@ -479,29 +554,93 @@ def test_standing_concat_mode(e1):
     assert sum(r.censored for r in recs) >= len(tree.types[0]) - 1
 
 
-@pytest.mark.parametrize("target", [1, 30])
-def test_standing_lays_first_survivors_side_by_side(e1, target):
-    tree = simulate_standing(e1, 5, target, stream(37, "side"))
-    # reference: single-root draws from the same stream, extinct ones counted
-    rng = stream(37, "side")
-    survivors, rejections, width = [], 0, 0
-    while width < target:
-        t = simulate_forward(e1, "uniform", 1, 5, rng)
-        if t.width == 0:
-            rejections += 1
-            continue
-        survivors.append(t)
-        width += t.width
-    assert tree.rejections == rejections
-    assert len(tree.types[0]) == len(survivors)
-    for j in range(6):
-        types, parents, offset = [], [], 0
-        for t in survivors:
-            types += t.types[j].tolist()
-            parents += [p + offset if j else 0 for p in t.parents[j].tolist()]
-            offset += len(t.types[j - 1]) if j else 0
-        assert tree.types[j].tolist() == types
-        assert tree.parents[j].tolist() == parents
+def _tree_sizes(tree: PlanarTree) -> np.ndarray:
+    """Standing width of each root of a forest, left to right."""
+    roots = list(forest._ancestor_walk(tree))[-1]
+    return np.bincount(roots - 1, minlength=len(tree.types[0]))
+
+
+@pytest.mark.parametrize("target", [1, 30, 2000])
+def test_standing_keeps_survivors_up_to_the_target(e1, lf1, target):
+    for model in (e1, lf1):
+        tree = simulate_standing(model, 5, target, stream(37, "side"))
+        sizes = _tree_sizes(tree)
+        # every root has a standing descendant, and the last tree is the
+        # one that makes up the width
+        assert np.all(sizes > 0)
+        assert tree.width == sizes.sum() >= target
+        assert tree.width - sizes[-1] < target
+
+
+def test_standing_is_deterministic_per_stream(lf1, e1):
+    for model in (lf1, e1):
+        a = simulate_standing(model, 6, 300, stream(3, "repeat"))
+        b = simulate_standing(model, 6, 300, stream(3, "repeat"))
+        assert a.rejections == b.rejections
+        assert all(np.array_equal(x, y) for x, y in zip(a.types, b.types))
+        assert all(np.array_equal(x, y) for x, y in zip(a.parents, b.parents))
+        # the next call on the same stream draws another forest
+        rng = stream(3, "repeat")
+        first, second = (simulate_standing(model, 6, 300, rng) for _ in range(2))
+        assert [t.tolist() for t in first.types] != [t.tolist() for t in second.types]
+
+
+@pytest.mark.parametrize(
+    "name,T,target,root_type",
+    [("e1", 10, 3000, 1), ("s3", 8, 3000, 2), ("lf1", 6, 20_000, 1)],
+)
+def test_standing_survival_ratio_matches_survival_vector(name, T, target, root_type):
+    model = {"e1": e1_model, "s3": s3_model, "lf1": lf1_model}[name]()
+    tree = simulate_standing(model, T, target, stream(53, "ratio", name), root_type=root_type)
+    kept = len(tree.types[0])
+    attempts = kept + tree.rejections
+    p = survival_vector(model, T)[root_type - 1]
+    se = np.sqrt(p * (1 - p) / attempts)
+    assert abs(kept / attempts - p) <= 4 * se, (kept, attempts, p)
+
+
+def test_block_cap_counts_misses_across_blocks(monkeypatch):
+    # _settle_block sees one block's standing widths; the extinct roots in a
+    # row carry over from the block before
+    monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 3)
+    settle = forest._settle_block
+    # keep up to the root that makes up the width; count its extinct roots
+    assert settle(np.array([0, 0, 3, 0]), 2, 0, 5) == (3, 2, 0)
+    assert settle(np.array([0, 1, 0, 2, 1]), 3, 0, 5) == (4, 2, 0)
+    # width not reached: keep the block, carry the trailing run
+    assert settle(np.array([2, 0, 0]), 5, 0, 5) == (3, 2, 2)
+    # two carried misses and one more make three in a row
+    with pytest.raises(GuardError, match="no surviving tree within 3 attempts"):
+        settle(np.array([0, 1]), 1, 2, 5)
+    assert settle(np.array([1, 0]), 1, 2, 5) == (1, 0, 0)
+    # a run reaching the cap between survivors stops the draw too
+    with pytest.raises(GuardError, match="within 3 attempts"):
+        settle(np.array([1, 0, 0, 0, 4]), 5, 0, 5)
+
+
+def _tree_nodes(tree: PlanarTree) -> np.ndarray:
+    """Node count of each root's tree, over every layer."""
+    nodes = np.zeros(len(tree.types[0]), dtype=np.int64)
+    for j in range(len(tree.types)):
+        up = np.arange(1, len(tree.types[j]) + 1)
+        for parents in reversed(tree.parents[1 : j + 1]):
+            up = parents[up - 1]
+        nodes += np.bincount(up - 1, minlength=nodes.size)
+    return nodes
+
+
+def test_node_cap_counts_nodes_per_tree(e1, lf1, monkeypatch):
+    # a block of small trees may hold more nodes than the cap; one tree may not
+    monkeypatch.setattr(forest, "DEFAULT_NODE_CAP", 100)
+    tree = simulate_standing(e1, 5, 300, stream(7, "node-cap"))
+    assert sum(len(t) for t in tree.types) > 100
+    assert _tree_nodes(tree).max() <= 100
+    monkeypatch.setattr(forest, "DEFAULT_NODE_CAP", 10**7)
+    tree = simulate_standing(lf1, 6, 300, stream(7, "node-cap"))
+    biggest = int(_tree_nodes(tree).max())
+    monkeypatch.setattr(forest, "DEFAULT_NODE_CAP", biggest - 1)
+    with pytest.raises(GuardError, match="node cap"):
+        simulate_standing(lf1, 6, 300, stream(7, "node-cap"))
 
 
 def test_standing_default_ordering_is_the_model_default(lf1, e1):
@@ -521,8 +660,8 @@ def test_standing_rejection_cap(e1, monkeypatch):
 
 
 def test_standing_rejection_cap_counts_misses_in_a_row(e1, monkeypatch):
-    # this E1 forest discards 12 398 extinct attempts for 643 survivors, and
-    # 123 of them in its longest run: the cap bounds the run, not the total
+    # this E1 forest discards 13 901 extinct attempts for 661 survivors, and
+    # 121 of them in its longest run: the cap bounds the run, not the total
     monkeypatch.setattr(forest, "DEFAULT_REJECTION_CAP", 1000)
     tree = simulate_standing(e1, 10, 2000, stream(41, "in-a-row"))
     assert tree.width >= 2000
@@ -574,18 +713,22 @@ def test_ancestor_index_monotone(e1):
 
 
 def test_coalescence_memory_stays_near_its_output():
-    # the ancestry is walked one level at a time: no (T+1) x w matrix of
-    # ancestors, so the peak stays within a small factor of the returned arrays
+    # the ancestry is walked one level at a time and the lineage types are
+    # held in one byte each: beyond the returned arrays the peak stays under
+    # twelve int64 rows of width w, below the 8 (T+1) w bytes of one
+    # ancestor matrix (here 2.19 MB against a 2.66 MB bound)
     tree = simulate_standing(LF3, 20, 20_000, stream(5, "memory"))
-    assert tree.width >= 20_000
+    w = tree.width
+    assert w >= 20_000
     tracemalloc.start()
     try:
         records = coalescence_times(tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert records.lineage_inf.dtype == np.int8
     returned = records.a.nbytes + records.mass.nbytes + records.lineage_inf.nbytes
-    assert peak < 1.6 * returned
+    assert peak < returned + 12 * 8 * w < 8 * (tree.horizon + 1) * w
 
 
 def test_coalescence_small_cases():

@@ -42,33 +42,33 @@ GOLDEN = {
         "report.json": "dc09c42b9afbe180b5695d7c8ff12b89725243ca5887dce983d4c4269eb8e7a0",
     },
     "dchain-e1": {
-        "compare.csv": "2205acb70466e4f5cd8c3f40aad1a83ad57db87bc035981d82a57391539332b9",
+        "compare.csv": "33f82fd810c47ebb370920764afd49523d6ce1cd5b2fc839eff45cc5bb9b4b0f",
         "estimates.csv": "f893c17ed3f06415e79b889c621c58e5488608ae3e8b18252ce20cc43fccafae",
-        "report.json": "9c0020d59e3059422e0e75669b264826292dea5f3366197665175955c394936c",
+        "report.json": "9197dd2ee118345f5ba8b4d5335d40805c1e90f79241ea2763645eeb926870ee",
     },
     "dchain-lf-uniform": {
-        "compare.csv": "60dd543d0fb70f292668e35f979ac1d2215bf300133bf63cf5789de769cdd04d",
+        "compare.csv": "d9447fe3c0593ff5836479749f7a1f52db496a68ce06389479c990fdf6ca5e84",
         "estimates.csv": "1772c4d5b41f3ebee7f196223b633f2db33f4e3b2d2fbe30d1fa5c0b08acbee6",
-        "report.json": "1b7dc899e1f202909560feaef70b9a5e3506e043f0135ba2258f4edee2fdda93",
+        "report.json": "240e0fdc1e52d220a3bb74fa6f187fc1a17bd8d0ece5179c5bf968a81333c3c7",
     },
     "laws-s3": {
         "laws.csv": "d1c2806693469f2cf4e2d91fe06802ce66a2181f4c79786e9bdbd0fad271592a",
         "report.json": "3f84bbad8c8036d8d40352f1b0674cd11fd68a8172a4843a27c47b0056a191c7",
     },
     "simulate-e1": {
-        "records.csv": "e9e5532c19a5e56f2c6010160a0410a7498b9d7fabd526c232f69f98c4983053",
-        "report.json": "ab6714002f4f6271bbae8eab808601561e666bbfd4e47df14abeff959fd1d618",
-        "tree.tsv": "0188f26d9f6771b90fb7ec2e40f3e18898ebd46858aa364a23da83c85d3ab1f9",
+        "records.csv": "2bc97c01822e93b905dc8c72e9a9c45b4461358e0c887e0d0d91e9de917e13ab",
+        "report.json": "7ede5a9f6e2818ed6e80c7096eee6e1071347184e1275ee6208dfc8b61e36381",
+        "tree.tsv": "b4c0c5e7556af23cd4145b39de90719f0e94a8c4149c92095184289c00051451",
     },
     "simulate-lf-1": {
-        "records.csv": "1cf3f21569fd9a361146494a31244e958a3cdc8d105684637f0a4d23a9d8265a",
-        "report.json": "48ede874d8d2ad3b97d9f331ca6497390e577cdcd4ee71d63683b850f35ac24a",
-        "tree.tsv": "69c25070b1f4aaa6ef68743b91ecac49dc2a8d14c6131a0df1f4ca9be2ba3b14",
+        "records.csv": "8fb91338ff50e0be365149a6f3f0d8247fbead48136d0b4ee94ab31b4d0be429",
+        "report.json": "ee463621d6b72e3d02b069e1738377843fcec1eab76189d71760131f445159f0",
+        "tree.tsv": "b434d3a808c019bec32cb7ee0ab9d1cb132678c6cae08ee30f8b7b55d320e12b",
     },
     "simulate-lf-300": {
-        "records.csv": "3978d2452d30141929f93b310c5117a0533c8eb3a221332a3870c1c2d71ba3b7",
-        "report.json": "018d85859154314aafb1327b169bb17a9aa80ffba02aa31a43ad35fb7947fb56",
-        "tree.tsv": "4227d04de7045475fb5ff3df57bdac900b6a1e2ec12129843f7e64ca20c543b0",
+        "records.csv": "8d79f1c1801eb16759962474a200f08c5c942c3e6d106640cbd83eba1b126e68",
+        "report.json": "48a2aa15bc9a536545cae9005ec0b1e0f9187910927b7a8ce359212b93d280d6",
+        "tree.tsv": "5d75ae8ed1a9eb84d88fc919b997929c859f1a15f6b2a3ba8ff5b8e5235f4b6d",
     },
     "validate-e1": {
         "estimates.csv": "c2addeabf5e1bc0a7534b31e188066ef654a5730610525b9f06a90d376a17df8",

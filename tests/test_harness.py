@@ -731,7 +731,7 @@ def test_dchain_task_stops_when_no_forest_pair_shares_a_tree(e1, tmp_path, capsy
     # two standing individuals is two one-survivor trees: its KS sample would
     # be empty
     cfg = RunConfig(
-        task="dchain", seed=15, out_dir=str(tmp_path), model=e1,
+        task="dchain", seed=20, out_dir=str(tmp_path), model=e1,
         samples=2, horizon=4, n_max=3,
     )
     assert run(cfg) == 2
