@@ -45,6 +45,9 @@ DEFAULT_NODE_CAP = 10**7
 #: call), or chain offspring redraws that keep no child.
 DEFAULT_REJECTION_CAP = 10**6
 
+#: Nodes of consecutive layers that PlanarTree checks as one run.
+CHECK_RUN = 1 << 16
+
 Model = Union[ModelSpec, LFParams]
 
 
@@ -82,25 +85,61 @@ class PlanarTree:
             for what, layer in (("type", t), ("parent", p)):
                 if not isinstance(layer, np.ndarray) or layer.ndim != 1:
                     raise SchemaError(f"layer {j} {what} entries must be a 1-D numpy array")
-                if layer.size and not np.issubdtype(layer.dtype, np.integer):
+                if layer.size and layer.dtype.kind not in "iu":
                     raise SchemaError(
                         f"layer {j} {what} entries must be integers, got dtype {layer.dtype}"
                     )
             if t.shape != p.shape:
                 raise SchemaError(f"layer {j} type/parent arrays differ in length")
-            if t.size and np.min(t) < 1:
-                raise SchemaError(f"layer {j} contains a type index < 1")
-            if j == 0:
-                if p.size and np.any(p != 0):
-                    raise SchemaError("root layer nodes must have parent 0")
-            else:
-                prev = len(self.types[j - 1])
-                if p.size and (np.min(p) < 1 or np.max(p) > prev):
-                    raise SchemaError(f"layer {j} has a parent index outside 1..{prev}")
-                if p.size > 1 and np.any(np.diff(p) < 0):
-                    raise SchemaError(
-                        f"layer {j} parent indices decrease; planar order violated"
-                    )
+        # the values are checked over runs of layers laid end to end: a deep
+        # tree of small layers costs a few numpy calls, and no run copies
+        # more than CHECK_RUN nodes beyond its last layer
+        sizes = [t.size for t in self.types]
+        lo = run = 0
+        for j, size in enumerate(sizes):
+            run += size
+            if run >= CHECK_RUN or j == depth - 1:
+                self._check_values(lo, j + 1, sizes)
+                lo, run = j + 1, 0
+
+    def _check_values(self, lo: int, hi: int, sizes: list[int]) -> None:
+        """Refuse the first bad type or parent value in layers lo..hi-1."""
+        full = [j for j in range(lo, hi) if sizes[j]]
+        if not full:
+            return
+        n = np.array([sizes[j] for j in full])
+        starts = n.cumsum() - n
+        types = np.concatenate([self.types[j] for j in full])
+        parents = np.concatenate([self.parents[j] for j in full])
+        low = np.minimum.reduceat(parents, starts)
+        high = np.maximum.reduceat(parents, starts)
+        prev = np.array([sizes[j - 1] if j else 0 for j in full])
+        # a decrease is allowed only where a layer starts
+        down = (parents[1:] < parents[:-1]).nonzero()[0] + 1
+        at = starts.searchsorted(down, side="right") - 1
+        decreasing = np.zeros(len(full), dtype=bool)
+        decreasing[at[starts[at] != down]] = True
+        is_root = np.array(full) == 0
+        bad = np.stack(
+            (
+                np.minimum.reduceat(types, starts) < 1,
+                is_root & ((low != 0) | (high != 0)),
+                ~is_root & ((low < 1) | (high > prev)),
+                ~is_root & decreasing,
+            )
+        )
+        if not bad.any():
+            return
+        f = int(bad.any(axis=0).argmax())
+        j = full[f]
+        raise SchemaError(
+            (
+                f"layer {j} contains a type index < 1",
+                "root layer nodes must have parent 0",
+                f"layer {j} has a parent index outside 1..{prev[f]}",
+                f"layer {j} parent indices decrease; planar order violated",
+            )[int(bad[:, f].argmax())]
+        )
 
     @property
     def horizon(self) -> int:
@@ -594,31 +633,137 @@ def ancestral_subtree(tree: PlanarTree) -> PlanarTree:
     )
 
 
-def dump_tree(tree: PlanarTree) -> str:
-    """Line-oriented dump: gen<TAB>index<TAB>type<TAB>parent_index."""
+def _digit_counts(col: np.ndarray) -> np.ndarray:
+    """Decimal digit count (int8) of each entry of a non-negative integer column."""
+    counts = np.ones(col.size, dtype=np.int8)
+    top = int(col.max()) if col.size else 0
+    power = 10
+    while power <= top:
+        counts += col >= power
+        power *= 10
+    return counts
+
+
+def _write_digits(out: np.ndarray, ends: np.ndarray, col: np.ndarray) -> None:
+    """Write each col[r] >= 0 in decimal, its last digit at out[ends[r] - 1].
+
+    One pass writes one digit of every row, right to left, and drops the
+    rows whose remaining value is 0.
+    """
+    at = ends - 1
+    value = col
+    while value.size:
+        value, digit = np.divmod(value, 10)
+        digit += ord("0")
+        out[at] = digit
+        more = value.nonzero()[0]
+        if more.size < value.size:
+            value, at = value[more], at[more]
+        at -= 1
+
+
+def dump_tree(tree: PlanarTree) -> bytearray:
+    """Line-oriented dump: gen<TAB>index<TAB>type<TAB>parent_index.
+
+    Returns a bytes-like ASCII buffer (a bytearray) preallocated to the
+    text's length and filled layer by layer, a column at a time, straight
+    from the type and parent arrays: the generation is a constant prefix
+    per layer, and no string is built per node.
+    """
     layers = []
+    size = 0
     for j, (t, p) in enumerate(zip(tree.types, tree.parents)):
-        line = f"{tree.root_generation + j}\t%d\t%d\t%d\n".__mod__
-        rows = zip(range(1, len(t) + 1), t.tolist(), p.tolist())
-        layers.append("".join(map(line, rows)))
-    return "".join(layers)
+        if not t.size:
+            continue
+        gen = b"%d" % (tree.root_generation + j)
+        digits_t, digits_p = _digit_counts(t), _digit_counts(p)
+        # gen, index, type and parent, three tabs and a newline
+        row = _digit_counts(np.arange(1, t.size + 1))
+        row += digits_t
+        row += digits_p
+        row += len(gen) + 4
+        layers.append((gen, t, p, digits_t, digits_p, row, size))
+        size += int(row.sum(dtype=np.int64))
+    buf = bytearray(size)
+    out = np.frombuffer(buf, dtype=np.uint8)
+    out.fill(ord("\t"))
+    for gen, t, p, digits_t, digits_p, row, offset in layers:
+        ends = row.cumsum(dtype=np.int64)
+        ends += offset
+        starts = ends - row
+        for c, ch in enumerate(gen):
+            out[starts + c] = ch
+        del starts
+        out[ends - 1] = ord("\n")
+        # the other columns right to left, each ending one tab before the next
+        ends -= 1
+        _write_digits(out, ends, p)
+        ends -= digits_p
+        ends -= 1
+        _write_digits(out, ends, t)
+        ends -= digits_t
+        ends -= 1
+        _write_digits(out, ends, np.arange(1, t.size + 1))
+    return buf
 
 
-def records_to_csv(records: CoalescentRecords) -> str:
+_CSV_HEADER = b"i,A,mass,censored,lineage\n"
+
+
+def records_to_csv(records: CoalescentRecords) -> bytearray:
     """CSV with columns i,A,mass,censored,lineage (lineage hyphen-joined).
 
-    Rows are formatted from the record arrays, one A value at a time.
+    Returns a bytes-like ASCII buffer (a bytearray) preallocated to the
+    text's length and filled a column at a time straight from the record
+    arrays: A is empty where censored, and the lineage is written one
+    depth d at a time over the rows with A > d.  No string is built per
+    pair.
     """
     a, mass, lineage = records.a, records.mass, records.lineage_inf
-    i = np.arange(1, len(a) + 1)
-    rows = np.empty(len(a), dtype=object)
-    for depth in np.unique(a).tolist():
-        at = np.flatnonzero(a == depth)
-        if depth == 0:
-            line = "%d,,%d,1,\n"
-            cols = (i[at], mass[at])
-        else:
-            line = "%d,%d,%d,0," + "-".join(["%d"] * depth) + "\n"
-            cols = (i[at], a[at], mass[at], *lineage[:depth, at])
-        rows[at] = list(map(line.__mod__, zip(*(c.tolist() for c in cols))))
-    return "i,A,mass,censored,lineage\n" + "".join(rows.tolist())
+    i = np.arange(1, a.size + 1)
+    kept = a > 0
+    digits_i = _digit_counts(i)
+    digits_a = _digit_counts(a)
+    digits_a *= kept
+    digits_m = _digit_counts(mass)
+    # i, A, mass, the censored flag, four commas and a newline
+    row = digits_i.astype(np.int64)
+    row += digits_a
+    row += digits_m
+    row += 6
+    depth = int(a.max()) if a.size else 0
+    for d in range(depth):
+        at = (a > d).nonzero()[0]
+        row[at] += _digit_counts(lineage[d, at]) + (d > 0)
+    pos = row.cumsum()
+    pos += len(_CSV_HEADER)
+    buf = bytearray(len(_CSV_HEADER) + int(row.sum()))
+    out = np.frombuffer(buf, dtype=np.uint8)
+    out.fill(ord(","))
+    out[: len(_CSV_HEADER)] = np.frombuffer(_CSV_HEADER, dtype=np.uint8)
+    out[pos - 1] = ord("\n")
+    # pos walks each row left to right, from a column's start to its end
+    # and over the comma after it
+    pos -= row
+    del row
+    pos += digits_i
+    _write_digits(out, pos, i)
+    pos += digits_a
+    pos += 1
+    _write_digits(out, pos[kept], a[kept])
+    pos += digits_m
+    pos += 1
+    _write_digits(out, pos, mass)
+    out[pos + 1] = ord("1") - kept
+    pos += 3
+    for d in range(depth):
+        at = (a > d).nonzero()[0]
+        lineage_pos = pos[at]
+        if d:
+            out[lineage_pos] = ord("-")
+            lineage_pos += 1
+        types = lineage[d, at]
+        lineage_pos += _digit_counts(types)
+        _write_digits(out, lineage_pos, types)
+        pos[at] = lineage_pos
+    return buf

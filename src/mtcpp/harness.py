@@ -727,9 +727,16 @@ def _report(
 
 
 def _write_outputs(cfg: RunConfig, out: dict) -> None:
+    """Write each file of `out` in binary mode.
+
+    A value is either a str, encoded once here, or the bytes-like ASCII
+    buffer of a forest formatter, written as it is, without a copy.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, text in out.items():
-        with open(os.path.join(cfg.out_dir, name), "w") as fh:
+        if isinstance(text, str):
+            text = text.encode()
+        with open(os.path.join(cfg.out_dir, name), "wb") as fh:
             fh.write(text)
 
 
@@ -759,7 +766,7 @@ def run(config: RunConfig) -> int:
     An I/O error writes no report, since the output directory may be
     what failed.
     """
-    out: dict[str, str] = {}
+    out: dict[str, str | bytearray] = {}
     try:
         try:
             checks = _TASK_FN[config.task](config, out)

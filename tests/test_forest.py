@@ -176,7 +176,7 @@ def _record_fields(r: CoalescentRecord):
     return (r.i, r.a, r.mass, r.lineage, r.lineage_inf, r.censored)
 
 
-def _first_difference(text: str, ref: str):
+def _first_difference(text: bytes, ref: bytes):
     """None when the texts are equal, else the first differing line pair.
 
     Keeps a failure message short where a full diff of megabyte texts
@@ -184,7 +184,7 @@ def _first_difference(text: str, ref: str):
     """
     if text == ref:
         return None
-    lines, ref_lines = text.split("\n"), ref.split("\n")
+    lines, ref_lines = text.split(b"\n"), ref.split(b"\n")
     n = next(
         (n for n, (a, b) in enumerate(zip(lines, ref_lines)) if a != b),
         min(len(lines), len(ref_lines)),
@@ -193,13 +193,13 @@ def _first_difference(text: str, ref: str):
 
 
 def assert_emission_matches_reference(tree: PlanarTree) -> None:
-    assert _first_difference(dump_tree(tree), reference_dump_tree(tree)) is None
+    assert _first_difference(dump_tree(tree), reference_dump_tree(tree).encode()) is None
     recs = coalescence_times(tree)
     ref = reference_coalescence_times(tree)
     assert len(recs) == len(ref)
     assert [_record_fields(r) for r in recs] == [_record_fields(r) for r in ref]
     assert recs.mass.tolist() == [r.mass for r in ref]
-    text = reference_records_to_csv(ref)
+    text = reference_records_to_csv(ref).encode()
     assert _first_difference(records_to_csv(recs), text) is None
 
 
@@ -261,10 +261,48 @@ def test_tree_refuses_malformed_layers(standing_types, standing_parents, message
         _one_generation_tree(standing_types, standing_parents)
 
 
+def _nested_layers_with(j: int, what: str, entries) -> PlanarTree:
+    tree = nested_tree()
+    types, parents = list(tree.types), list(tree.parents)
+    layers = types if what == "type" else parents
+    layers[j] = np.array(entries)
+    return PlanarTree(tree.root_generation, tuple(types), tuple(parents))
+
+
+@pytest.mark.parametrize("run", [forest.CHECK_RUN, 2])
+@pytest.mark.parametrize(
+    "j, what, entries, message",
+    [
+        (2, "type", [1, 0, 1], "layer 2 contains a type index < 1"),
+        (0, "parent", [1], "root layer nodes must have parent 0"),
+        (3, "parent", [1, 2, 2, 4], "layer 3 has a parent index outside 1..3"),
+        (1, "parent", [0, 1, 1], "layer 1 has a parent index outside 1..1"),
+        (3, "parent", [1, 3, 2, 3], "layer 3 parent indices decrease"),
+    ],
+    ids=["type", "root", "parent-high", "parent-low", "planar"],
+)
+def test_tree_refuses_bad_values_in_any_layer(j, what, entries, message, run, monkeypatch):
+    # one run over all layers, or runs of two nodes that split the tree
+    monkeypatch.setattr(forest, "CHECK_RUN", run)
+    with pytest.raises(SchemaError, match=message):
+        _nested_layers_with(j, what, entries)
+
+
+def test_tree_reports_the_first_bad_layer():
+    tree = nested_tree()
+    types = list(tree.types)
+    types[3] = np.array([0, 1, 1, 2])
+    parents = list(tree.parents)
+    parents[2] = np.array([1, 3, 2])
+    with pytest.raises(SchemaError, match="layer 2 parent indices decrease"):
+        PlanarTree(tree.root_generation, tuple(types), tuple(parents))
+
+
 def test_tree_accepts_empty_layers_of_any_dtype():
     tree = _one_generation_tree(np.array([]), np.zeros(0, dtype=np.float32))
     assert tree.width == 0
-    assert dump_tree(tree) == "-1\t1\t1\t0\n"
+    assert dump_tree(tree) == b"-1\t1\t1\t0\n"
+    assert dump_tree(tree) == reference_dump_tree(tree).encode()
 
 
 def test_node_accessors():
@@ -282,7 +320,7 @@ def test_node_accessors():
 
 
 def test_dump_tree_golden():
-    assert dump_tree(f1_tree()) == "-1\t1\t1\t0\n0\t1\t1\t1\n0\t2\t2\t1\n"
+    assert dump_tree(f1_tree()) == b"-1\t1\t1\t0\n0\t1\t1\t1\n0\t2\t2\t1\n"
 
 
 @pytest.mark.parametrize(
@@ -312,6 +350,84 @@ def test_emission_matches_reference_on_seeded_forests(model, ordering, T, seed, 
     tree = simulate_standing(model, T, 600, stream(seed, "emit"), ordering=ordering)
     assert tree.width >= 600 and len(tree.types[0]) > 1
     assert_emission_matches_reference(tree)
+
+
+def crossing_tree(width: int, dtype) -> PlanarTree:
+    """Depth-2 forest with `width` nodes per layer, all held in `dtype`.
+
+    Index and parent columns cross every power of ten below `width`, and
+    types run 1..12.  Parents get 0, 1 or 2 children each.
+    """
+    gen = np.random.default_rng(width)
+    types = [np.arange(width) % 12 + 1]
+    parents = [np.zeros(width, dtype=np.int64)]
+    third = width // 3
+    base = np.repeat([0, 2, 1], [third, third, width - 2 * third])
+    for _ in range(2):
+        counts = gen.permutation(base)
+        parents.append(np.arange(1, width + 1).repeat(counts))
+        types.append(gen.integers(1, 13, size=width))
+    return PlanarTree(
+        -2, tuple(t.astype(dtype) for t in types), tuple(p.astype(dtype) for p in parents)
+    )
+
+
+@pytest.mark.parametrize(
+    "dtype, width",
+    [(np.int8, 120), (np.uint8, 120), (np.int32, 1200), (np.int64, 1200)],
+    ids=["int8", "uint8", "int32", "int64"],
+)
+def test_emission_matches_reference_across_powers_of_ten(dtype, width):
+    tree = crossing_tree(width, dtype)
+    assert tree.types[1].dtype == dtype and tree.width == width
+    assert max(int(p.max()) for p in tree.parents) >= width // 10 * 9
+    assert max(int(t.max()) for t in tree.types) >= 10
+    assert_emission_matches_reference(tree)
+
+
+def ladder_forest() -> PlanarTree:
+    """Three roots, each splitting into 12 lines that run 11 generations.
+
+    Within a root every pair has A = 11 and the masses run 11..1; pairs
+    across roots are censored.  Lineage types run 1..13.
+    """
+    roots, lines, T = 3, 12, 11
+    width = roots * lines
+    types = [np.ones(roots, dtype=np.int64), np.arange(width) % 13 + 1]
+    parents = [np.zeros(roots, dtype=np.int64), np.arange(1, roots + 1).repeat(lines)]
+    for j in range(2, T + 1):
+        types.append((np.arange(width) + j) % 13 + 1)
+        parents.append(np.arange(1, width + 1))
+    return PlanarTree(-T, tuple(types), tuple(parents))
+
+
+def test_emission_matches_reference_on_two_digit_records():
+    tree = ladder_forest()
+    recs = coalescence_times(tree)
+    assert recs.a.max() == 11 and recs.mass.max() == 11
+    assert recs.lineage_inf.max() == 13
+    assert (recs.a == 0).sum() == 2
+    assert_emission_matches_reference(tree)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_records_csv_matches_reference_on_drawn_records(dtype):
+    # censored and uncensored rows interleaved at random; i, A, mass and
+    # lineage types cross powers of ten
+    gen = np.random.default_rng(11)
+    n, T = 3000, 14
+    a = gen.integers(1, T + 1, size=n)
+    a[gen.random(n) < 0.3] = 0
+    mass = gen.integers(1, 2000, size=n)
+    lineage = gen.integers(1, 120, size=(T, n)).astype(dtype)
+    recs = forest.CoalescentRecords(a, mass, lineage)
+    text = reference_records_to_csv(recs).encode()
+    assert _first_difference(records_to_csv(recs), text) is None
+
+
+def test_records_csv_of_width_one_is_its_header():
+    recs = coalescence_times(one_wide_tree())
+    assert records_to_csv(recs) == b"i,A,mass,censored,lineage\n"
 
 
 # -- simulate_forward -------------------------------------------------------
@@ -712,12 +828,16 @@ def test_ancestor_index_monotone(e1):
             assert idx == sorted(idx)
 
 
+def _memory_forest() -> PlanarTree:
+    return simulate_standing(LF3, 20, 20_000, stream(5, "memory"))
+
+
 def test_coalescence_memory_stays_near_its_output():
     # the ancestry is walked one level at a time and the lineage types are
     # held in one byte each: beyond the returned arrays the peak stays under
     # twelve int64 rows of width w, below the 8 (T+1) w bytes of one
     # ancestor matrix (here 2.19 MB against a 2.66 MB bound)
-    tree = simulate_standing(LF3, 20, 20_000, stream(5, "memory"))
+    tree = _memory_forest()
     w = tree.width
     assert w >= 20_000
     tracemalloc.start()
@@ -729,6 +849,24 @@ def test_coalescence_memory_stays_near_its_output():
     assert records.lineage_inf.dtype == np.int8
     returned = records.a.nbytes + records.mass.nbytes + records.lineage_inf.nbytes
     assert peak < returned + 12 * 8 * w < 8 * (tree.horizon + 1) * w
+
+
+@pytest.mark.parametrize("formatter", ["dump_tree", "records_to_csv"])
+def test_formatter_memory_stays_near_its_output(formatter):
+    # each formatter fills one preallocated buffer, layer by layer or depth
+    # by depth: beyond the text the peak stays under sixteen int64 rows of
+    # the largest layer.  Joining per-layer buffers and copying them out, or
+    # casting the whole lineage matrix to int64 (T = 20 rows), breaks it.
+    tree = _memory_forest()
+    arg = tree if formatter == "dump_tree" else coalescence_times(tree)
+    rows = 16 * 8 * max(layer.size for layer in tree.types)
+    tracemalloc.start()
+    try:
+        text = getattr(forest, formatter)(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) + rows
 
 
 def test_coalescence_small_cases():
@@ -777,11 +915,11 @@ def test_censored_records():
 
 def test_records_csv():
     text = records_to_csv(coalescence_times(nested_tree()))
-    lines = text.strip().split("\n")
-    assert lines[0] == "i,A,mass,censored,lineage"
-    assert lines[1] == "1,3,2,0,1-2-1"
-    row = records_to_csv(coalescence_times(censored_tree())).strip().split("\n")[1]
-    assert row == "1,,1,1,"
+    lines = text.strip().split(b"\n")
+    assert lines[0] == b"i,A,mass,censored,lineage"
+    assert lines[1] == b"1,3,2,0,1-2-1"
+    row = records_to_csv(coalescence_times(censored_tree())).strip().split(b"\n")[1]
+    assert row == b"1,,1,1,"
 
 
 def test_pairwise_examples():
